@@ -31,3 +31,8 @@ def indices_from_mask(mask: int) -> list[int]:
 
 def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
+
+
+def bool_array_from_mask(mask: int, size: int) -> np.ndarray:
+    raw = np.frombuffer(mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:size].astype(bool)

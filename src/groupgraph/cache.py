@@ -20,7 +20,7 @@ from .lattice import Subgroup, SubgroupLattice, all_subgroups
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 def table_digest(group: FiniteGroup) -> str:
@@ -76,8 +76,8 @@ def lattice_from_text(group: FiniteGroup, text: str) -> SubgroupLattice:
             raise CacheError(f"unknown record {kind!r}")
     if conj is None or frattini is None or len(conj) != len(subgroups):
         raise CacheError("incomplete cache entry")
-    return SubgroupLattice(group, subgroups, annotations={
-        "conj_class_of": conj, "sylow_index": sylow, "frattini_id": frattini})
+    return SubgroupLattice(group, subgroups, conj, annotations={
+        "sylow_index": sylow, "frattini_id": frattini})
 
 
 def cache_path(cache_dir: str | Path, group: FiniteGroup) -> Path:

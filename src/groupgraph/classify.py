@@ -14,8 +14,9 @@ import numpy as np
 
 from .bits import iter_bits
 from .errors import CriteriaDisagreement, GroupGraphError
-from .groups import FiniteGroup, quotient_group, subgroup_group
+from .groups import FiniteGroup, is_abelian, quotient_group, subgroup_group
 from .lattice import SubgroupLattice
+from .primes import factorize, is_prime
 
 
 @dataclass
@@ -43,22 +44,9 @@ class GroupClassification:
         }
 
 
-def is_abelian(group: FiniteGroup) -> bool:
-    gens = group.generator_indices()
-    mul = group.mul
-    return all(mul[a, b] == mul[b, a] for a in gens for b in gens)
-
-
 def p_group_prime(group: FiniteGroup) -> int | None:
-    n = group.order
-    if n == 1:
-        return None
-    p = 2
-    while n % p:
-        p += 1 if p == 2 else 2
-    while n % p == 0:
-        n //= p
-    return p if n == 1 else None
+    factors = factorize(group.order)
+    return next(iter(factors)) if len(factors) == 1 else None
 
 
 def is_dedekind(group: FiniteGroup, lat: SubgroupLattice) -> bool:
@@ -139,7 +127,7 @@ def _prime_chain_to_full(lat: SubgroupLattice) -> list[int] | None:
         if i in parent:
             continue
         o = lat.order_of(i)
-        for q in sorted(_prime_factors(o)):
+        for q in factorize(o):
             below = o // q
             for m in by_order.get(below, ()):
                 if m in parent and lat.supersets[m] >> i & 1:
@@ -153,19 +141,6 @@ def _prime_chain_to_full(lat: SubgroupLattice) -> list[int] | None:
     while chain[-1] != lat.trivial_id:
         chain.append(parent[chain[-1]])
     return list(reversed(chain))
-
-
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out.add(p)
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def _verify_cyclic_factors(lat: SubgroupLattice, chain: list[int]) -> None:
@@ -187,7 +162,7 @@ def is_supersolvable(group: FiniteGroup, lat: SubgroupLattice) -> bool:
     """Primary: every maximal subgroup has prime index (Huppert's criterion
     for finite groups). Cross-check: a G-normal chain with cyclic factors."""
     order = group.order
-    huppert = all(_is_prime_value(order // lat.order_of(m))
+    huppert = all(is_prime(order // lat.order_of(m))
                   for m in lat.maximal_subgroups())
     chain = _prime_chain_to_full(lat)
     if chain is not None:
@@ -235,7 +210,7 @@ def classify(group: FiniteGroup, lat: SubgroupLattice) -> GroupClassification:
     if not supersolvable:
         witnesses["non_prime_index_maximal"] = next(
             m for m in lat.maximal_subgroups()
-            if not _is_prime_value(group.order // lat.order_of(m)))
+            if not is_prime(group.order // lat.order_of(m)))
     simple = is_simple(group, lat)
     result = GroupClassification(
         abelian=abelian, p_group=p, dedekind=dedekind, iwasawa=iwasawa,
@@ -243,10 +218,6 @@ def classify(group: FiniteGroup, lat: SubgroupLattice) -> GroupClassification:
         simple=simple, witnesses=witnesses)
     _assert_implications(group, result)
     return result
-
-
-def _is_prime_value(n: int) -> bool:
-    return n > 1 and _prime_factors(n) == {n}
 
 
 def _assert_implications(group: FiniteGroup, c: GroupClassification) -> None:

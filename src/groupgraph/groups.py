@@ -12,14 +12,21 @@ from functools import cached_property
 import numpy as np
 
 from . import perms
-from .bits import iter_bits, mask_from_indices
-from .errors import CapExceeded, NotNormal, RealizeError
+from .bits import iter_bits, mask_from_bool_array, mask_from_indices
+from .errors import CapExceeded, GroupGraphError, NotNormal, RealizeError
 from .perms import Perm
 
 DEFAULT_ORDER_CAP = 20_000
 # n x n index tables above this order would not fit in memory; every group
 # the toolkit analyses in depth is far below it (largest corpus group: 1092).
 TABLE_CAP = 8_192
+# mul is composed this many (row, column, point) entries at a time, so the
+# table never holds a full n x n x degree array in memory
+_MUL_BLOCK = 1 << 16
+
+
+class TableError(GroupGraphError):
+    """A composed permutation did not match the element it was looked up as."""
 
 
 def enumerate_elements(generators, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[Perm, ...]:
@@ -107,7 +114,9 @@ class FiniteGroup:
         # set by the semidirect constructor; element masks over this table
         self.semidirect_normal_mask: int | None = None
         self.semidirect_complement_mask: int | None = None
-        assert self.elements[0] == perms.identity(self.degree)
+        if self.elements[0] != perms.identity(self.degree):
+            raise RealizeError(
+                "the element table does not start with the identity")
 
     def __repr__(self):
         label = self.spec_label or "<raw>"
@@ -118,15 +127,48 @@ class FiniteGroup:
 
     @cached_property
     def mul(self) -> np.ndarray:
-        """mul[i, j] = index of elements[i] followed by elements[j]."""
+        """mul[i, j] = index of elements[i] followed by elements[j].
+
+        Whole rows are composed at once. Each composed permutation is looked
+        up by the shortest prefix of point images that tells the sorted
+        elements apart, one ``searchsorted`` per prefix position, and then
+        compared with the element found in full.
+        """
         if self.order > TABLE_CAP:
             raise CapExceeded(
                 f"order {self.order} exceeds index-table cap {TABLE_CAP}")
-        n = self.order
+        n, degree = self.order, self.degree
+        points = np.array(self.elements,
+                          dtype=np.min_scalar_type(max(degree - 1, 0)))
+        points = points.reshape(n, degree)
+        # the table is sorted, so neighbours share the longest prefixes
+        differ = points[1:] != points[:-1]
+        depth = int(differ.argmax(axis=1).max()) + 1 if n > 1 else 0
+        # level t ranks the distinct prefixes of length t + 1: a prefix's
+        # rank is the position of (rank of its first t images) * degree +
+        # (image t) among the sorted distinct such keys
+        levels = []
+        rank = np.zeros(n, dtype=np.int64)
+        for t in range(depth):
+            keys = rank * degree + points[:, t]
+            levels.append(np.unique(keys))
+            rank = np.searchsorted(levels[-1], keys)
         table = np.empty((n, n), dtype=np.uint16 if n <= 65535 else np.uint32)
-        for i, p in enumerate(self.elements):
-            row = [self.element_index[perms.compose(p, q)] for q in self.elements]
-            table[i] = row
+        block = max(1, _MUL_BLOCK // (n * max(degree, 1)))
+        for start in range(0, n, block):
+            rows = points[start:start + block]
+            # composed[r, j] = rows[r] followed by points[j]
+            composed = points[:, rows].transpose(1, 0, 2).reshape(
+                len(rows) * n, degree)
+            index = np.zeros(len(composed), dtype=np.int64)
+            for t, level in enumerate(levels):
+                index = np.searchsorted(level, index * degree + composed[:, t])
+            np.minimum(index, n - 1, out=index)
+            if not np.array_equal(points[index], composed):
+                raise TableError(
+                    f"{self.spec_label or 'group'}: a product of two elements "
+                    "is missing from the element table")
+            table[start:start + len(rows)] = index.reshape(len(rows), n)
         return table
 
     @cached_property
@@ -157,35 +199,49 @@ class FiniteGroup:
             out |= 1 << int(row[i])
         return out
 
-    def closure_mask(self, seed_indices, generator_indices) -> int:
+    def closure_mask(self, seed_indices, generator_indices,
+                     subgroup=None) -> int:
         """Subgroup generated by the generator indices, seeded with known members.
 
-        Every seed must already lie in the generated subgroup. Returns the
-        member bitset; the full group is returned early once more than half
-        the elements are reached (a proper subgroup has index at least 2).
+        Every seed must already lie in the generated subgroup, and so must
+        ``subgroup``: the member indices of a known subgroup H, whose own
+        generators must be among the generator indices. The closure grows
+        by whole right cosets H·x (Dimino's method), one element at a time
+        when H is not given. It starts from the product set H·seeds, one
+        table lookup; when the seeds are a cyclic subgroup whose
+        generator normalizes H, that product set is the answer and a single
+        pass over the coset representatives confirms it.
+
+        Returns the member bitset; the full group is returned early once
+        more than half the elements are reached (a proper subgroup has
+        index at least 2).
         """
         n = self.order
         mul = self.mul
-        gens = np.asarray(sorted(set(int(i) for i in generator_indices)))
+        gens = np.asarray(list(generator_indices), dtype=np.int64)
+        base = np.asarray([0] if subgroup is None else subgroup,
+                          dtype=np.int64)
         visited = np.zeros(n, dtype=bool)
-        seed = np.asarray(sorted(set(int(i) for i in seed_indices) | {0}))
-        visited[seed] = True
-        count = int(seed.size)
+        visited[base] = True
+        count = int(base.size)
         half = n // 2
-        frontier = seed
-        full = (1 << n) - 1
-        while frontier.size:
-            prods = mul[np.ix_(frontier, gens)].ravel()
-            prods = prods[~visited[prods]]
-            if prods.size == 0:
-                break
-            new = np.unique(prods)
-            visited[new] = True
-            count += int(new.size)
-            if count > half:
-                return full
-            frontier = new
-        return int.from_bytes(np.packbits(visited, bitorder="little").tobytes(), "little")
+        frontier = np.zeros(1, dtype=np.int64)  # H itself, as the coset H·1
+        fresh = np.asarray(list(seed_indices), dtype=np.int64)
+        while True:
+            fresh = fresh[~visited[fresh]]
+            if fresh.size:
+                cosets = mul[base[:, None], fresh]
+                # distinct right cosets are disjoint: their minima tell them apart
+                _, first = np.unique(cosets.min(axis=0), return_index=True)
+                visited[cosets[:, first]] = True
+                count += int(base.size * first.size)
+                if count > half:
+                    return (1 << n) - 1
+                frontier = np.concatenate((frontier, fresh[first]))
+            if not frontier.size:
+                return mask_from_bool_array(visited)
+            fresh = mul[frontier[:, None], gens].ravel()
+            frontier = frontier[:0]
 
     def subgroup_generated(self, element_indices) -> int:
         idx = sorted(set(int(i) for i in element_indices) | {0})
@@ -209,6 +265,12 @@ class FiniteGroup:
         body = b"".join(
             bytes().join(int(i).to_bytes(2, "little") for i in p) for p in self.elements)
         return head + body
+
+
+def is_abelian(group: FiniteGroup) -> bool:
+    gens = group.generator_indices()
+    mul = group.mul
+    return all(mul[a, b] == mul[b, a] for a in gens for b in gens)
 
 
 def subgroup_group(parent: FiniteGroup, mask: int, gen_hint=None,

@@ -1,11 +1,28 @@
 """Complete subgroup lattices of finite groups.
 
-Enumeration is by cyclic extension: seed with every cyclic subgroup, then
-join each known subgroup with each cyclic subgroup not inside it until no
-new subgroup appears. Completeness rests on the fact that any subgroup is
-reachable from the trivial one by repeatedly adjoining a cyclic subgroup;
-it is additionally cross-checked against a brute-force enumeration for
-small groups in the test suite.
+Enumeration is Neubüser's cyclic extension up to conjugacy (the method
+behind GAP's ``LatticeByCyclicExtension``). A zuppo is a cyclic subgroup
+of prime-power order. Starting from the trivial subgroup, one
+representative H of each conjugacy class found so far is joined with every
+zuppo <z> that is not inside H but whose p-th power z^p is (p the prime
+dividing the order of z). Each new join brings in its whole conjugacy
+class at once, through the ``conj`` table, with conjugated ``gen_hint``s.
+Joins are computed by ``FiniteGroup.closure_mask`` with H as the known
+subgroup: the product set H·<z> when z normalizes H, Dimino's coset-wise
+closure otherwise.
+
+Completeness. Every element is the product of commuting prime-power
+powers of itself, so a subgroup K is generated by the zuppos inside it.
+Adjoin them to the trivial subgroup in order of increasing order: when
+<z> is adjoined, the smaller zuppo <z^p> came earlier, so z^p already lies
+in the subgroup built so far. Every subgroup is therefore reached by a
+chain of the joins described above. Conjugation permutes the lattice and
+maps such a chain to another one, so extending one representative per
+class loses no class, and adding whole classes loses no subgroup. When a
+join U = <H, z> has prime index over H, every y in U outside H gives
+<H, y> = U (Lagrange), so those zuppos are skipped for H. The test suite
+cross-checks the result against a brute-force enumeration for small
+groups.
 
 Subgroups are bitsets over the parent group's element table, canonically
 ordered by (order, bitset value), so ids are stable across runs and safe
@@ -15,14 +32,14 @@ to cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import log2
 
 import numpy as np
 
-from .bits import indices_from_mask, lowest_bit, mask_from_bool_array
+from .bits import (bool_array_from_mask, indices_from_mask, lowest_bit,
+                   mask_from_bool_array)
 from .errors import CapExceeded, GroupGraphError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, is_abelian
+from .primes import factorize, is_prime
 
 SUBGROUP_CAP = 100_000
 
@@ -41,7 +58,7 @@ class SubgroupLattice:
     """All subgroups of a group, with inclusion and structural annotations."""
 
     def __init__(self, group: FiniteGroup, subgroups: list[Subgroup],
-                 annotations: dict | None = None):
+                 conj_class_of: list[int], annotations: dict | None = None):
         self.group = group
         self.subgroups = subgroups
         self.index_of = {s.mask: i for i, s in enumerate(subgroups)}
@@ -50,8 +67,13 @@ class SubgroupLattice:
         self._members = [np.array(s.member_indices(), dtype=np.int64)
                          for s in subgroups]
         self.supersets: list[int] = []
-        self.conj_class_of: list[int] = []
-        self.conj_classes: list[tuple[int, ...]] = []
+        # class labels number the classes in order of their lowest id
+        self.conj_class_of: list[int] = list(conj_class_of)
+        classes: dict[int, list[int]] = {}
+        for i, c in enumerate(self.conj_class_of):
+            classes.setdefault(c, []).append(i)
+        self.conj_classes: list[tuple[int, ...]] = [
+            tuple(classes[c]) for c in sorted(classes)]
         self.is_normal: list[bool] = []
         self.is_maximal: list[bool] = []
         self.sylow_index: dict[int, tuple[int, ...]] = {}
@@ -66,17 +88,10 @@ class SubgroupLattice:
         self._compute_inclusion()
         n = len(self.subgroups)
         if annotations is not None:
-            self.conj_class_of = list(annotations["conj_class_of"])
-            classes: dict[int, list[int]] = {}
-            for i, c in enumerate(self.conj_class_of):
-                classes.setdefault(c, []).append(i)
-            self.conj_classes = [tuple(sorted(classes[c]))
-                                 for c in sorted(classes)]
             self.sylow_index = {p: tuple(ids) for p, ids
                                 in annotations["sylow_index"].items()}
             self.frattini_id = annotations["frattini_id"]
         else:
-            self._compute_conjugacy()
             self._compute_sylow()
         self.is_normal = [len(self.conj_classes[self.conj_class_of[i]]) == 1
                           for i in range(n)]
@@ -112,55 +127,11 @@ class SubgroupLattice:
                 int.from_bytes(np.packbits(covered, bitorder="little").tobytes(),
                                "little"))
 
-    def _compute_conjugacy(self) -> None:
-        n = len(self.subgroups)
-        self.conj_class_of = [-1] * n
-        self.conj_classes = []
-        gens = self.group.generator_indices()
-        abelian = all(
-            (self.group.mul[a, b] == self.group.mul[b, a]) for a in gens for b in gens)
-        if abelian:
-            self.conj_classes = [(i,) for i in range(n)]
-            self.conj_class_of = list(range(n))
-            return
-        conj = self.group.conj
-        for i in range(n):
-            if self.conj_class_of[i] >= 0:
-                continue
-            label = len(self.conj_classes)
-            orbit = [i]
-            self.conj_class_of[i] = label
-            stack = [i]
-            while stack:
-                j = stack.pop()
-                idx = self._members[j]
-                for g in gens:
-                    image = mask_from_bool_array(
-                        np.bincount(conj[g, idx],
-                                    minlength=self.group.order).astype(bool))
-                    k = self.index_of[image]
-                    if self.conj_class_of[k] < 0:
-                        self.conj_class_of[k] = label
-                        orbit.append(k)
-                        stack.append(k)
-            self.conj_classes.append(tuple(sorted(orbit)))
-
     def _compute_sylow(self) -> None:
-        order = self.group.order
-        self.sylow_index = {}
-        remaining = order
-        p = 2
-        while remaining > 1:
-            if remaining % p == 0:
-                pmax = 1
-                while order % (pmax * p) == 0:
-                    pmax *= p
-                ids = tuple(i for i, s in enumerate(self.subgroups)
-                            if s.order == pmax)
-                self.sylow_index[p] = ids
-                while remaining % p == 0:
-                    remaining //= p
-            p += 1 if p == 2 else 2
+        self.sylow_index = {
+            p: tuple(i for i, s in enumerate(self.subgroups)
+                     if s.order == p ** e)
+            for p, e in factorize(self.group.order).items()}
 
     # -- queries ----------------------------------------------------------
 
@@ -228,75 +199,98 @@ class SubgroupLattice:
         return len(self.subgroups)
 
 
-def _cyclic_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """One subgroup per distinct cyclic subgroup, keyed by first generator."""
+def _zuppos(group: FiniteGroup):
+    """The cyclic subgroups of prime-power order.
+
+    Returns three parallel lists: each zuppo's least generator z, the index
+    of z^p (p the prime dividing the order of z) and the member indices.
+    """
     mul = group.mul
-    seen: dict[int, Subgroup] = {}
-    for x in range(group.order):
-        mask = 1
-        current = 0
-        while True:
-            current = int(mul[current, x])
-            mask |= 1 << current
-            if current == 0:
-                break
+    orders = group.element_orders
+    prime_of = {}
+    for o in set(orders.tolist()):
+        factors = factorize(o)
+        if len(factors) == 1:
+            prime_of[o] = next(iter(factors))
+    seen: set[int] = set()
+    gens: list[int] = []
+    pth_powers: list[int] = []
+    members: list[np.ndarray] = []
+    for z in range(1, group.order):
+        p = prime_of.get(int(orders[z]))
+        if p is None:
+            continue
+        powers = [z]  # powers[k] = z^(k + 1)
+        while powers[-1] != 0:
+            powers.append(int(mul[powers[-1], z]))
+        mask = sum(1 << i for i in powers)
         if mask not in seen:
-            seen[mask] = Subgroup(mask, mask.bit_count(),
-                                  (x,) if x else ())
-    return sorted(seen.values(), key=lambda s: (s.order, s.mask))
+            seen.add(mask)
+            gens.append(z)
+            pth_powers.append(powers[p - 1])
+            members.append(np.array(powers, dtype=np.int64))
+    return gens, pth_powers, members
+
+
+def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
+                     sub: Subgroup) -> list[Subgroup]:
+    """The orbit of sub under conjugation by the conjugators, each member
+    with the conjugate of sub's gen_hint."""
+    conj = group.conj
+    orbit = {sub.mask: sub}
+    stack = [sub]
+    while stack:
+        s = stack.pop()
+        for g in conjugators:
+            mask = group.conjugate_mask(s.mask, g)
+            if mask not in orbit:
+                t = Subgroup(mask, s.order,
+                             tuple(int(conj[g, i]) for i in s.gen_hint))
+                orbit[mask] = t
+                stack.append(t)
+    return list(orbit.values())
 
 
 def all_subgroups(group: FiniteGroup,
                   subgroup_cap: int = SUBGROUP_CAP) -> SubgroupLattice:
-    """Enumerate every subgroup by cyclic extension and annotate the lattice."""
-    cyclics = _cyclic_subgroups(group)
-    full_mask = (1 << group.order) - 1
-    known: dict[int, Subgroup] = {}
-    queue: list[Subgroup] = []
-    for s in cyclics:
-        known[s.mask] = s
-        queue.append(s)
-    if full_mask not in known:
-        # ensure G itself is present even before any join reaches it
-        gen_idx = tuple(group.generator_indices())
-        known[full_mask] = Subgroup(full_mask, group.order, gen_idx)
-        queue.append(known[full_mask])
-    head = 0
-    while head < len(queue):
-        sub = queue[head]
-        head += 1
-        if sub.mask == full_mask:
+    """Enumerate every subgroup by cyclic extension up to conjugacy and
+    annotate the lattice."""
+    n = group.order
+    full_mask = (1 << n) - 1
+    zgens, zpowers, zmembers = _zuppos(group)
+    zgen_idx = np.array(zgens, dtype=np.int64)
+    zpow_idx = np.array(zpowers, dtype=np.int64)
+    conjugators = [] if is_abelian(group) else group.generator_indices()
+    trivial = Subgroup(1, 1, ())
+    found = {trivial.mask: trivial}
+    class_of = {trivial.mask: 0}  # mask -> representative's position
+    reps = [trivial]  # one per conjugacy class; grows while it is walked
+    for rep in reps:
+        if rep.mask == full_mask:
             continue
-        for cyc in cyclics:
-            if cyc.order == 1 or cyc.mask & ~sub.mask == 0:
+        inside = bool_array_from_mask(rep.mask, n)
+        members = np.flatnonzero(inside)
+        # extend only by zuppos <z> outside rep with z^p inside it
+        skip = inside[zgen_idx] | ~inside[zpow_idx]
+        for z in np.flatnonzero(~skip):
+            if skip[z]:
                 continue
-            seed = sub.member_indices() + cyc.member_indices()
-            joined = group.closure_mask(seed, sub.gen_hint + cyc.gen_hint)
-            if joined not in known:
-                if len(known) >= subgroup_cap:
-                    raise CapExceeded(
-                        f"subgroup enumeration exceeded cap {subgroup_cap}")
-                new = Subgroup(joined, joined.bit_count(),
-                               sub.gen_hint + cyc.gen_hint)
-                known[joined] = new
-                queue.append(new)
-    ordered = sorted(known.values(), key=lambda s: (s.order, s.mask))
-    return SubgroupLattice(group, ordered)
-
-
-def brute_force_subgroup_masks(group: FiniteGroup,
-                               max_generators: int | None = None) -> set[int]:
-    """Independent oracle: closures of every generating set of bounded size.
-
-    Any subgroup of a group of order n is generated by at most floor(log2 n)
-    elements, since each extra generator at least doubles the subgroup.
-    Only intended for small groups (the tests use it up to order 24).
-    """
-    if max_generators is None:
-        max_generators = max(1, int(log2(max(group.order, 2))))
-    masks = {1}
-    nonidentity = range(1, group.order)
-    for size in range(1, max_generators + 1):
-        for combo in combinations(nonidentity, size):
-            masks.add(group.subgroup_generated(combo))
-    return masks
+            hint = rep.gen_hint + (zgens[z],)
+            joined = group.closure_mask(zmembers[z], hint, members)
+            if joined not in found:
+                new = Subgroup(joined, joined.bit_count(), hint)
+                for s in _conjugacy_class(group, conjugators, new):
+                    if len(found) >= subgroup_cap:
+                        raise CapExceeded(
+                            f"subgroup enumeration exceeded cap {subgroup_cap}")
+                    found[s.mask] = s
+                    class_of[s.mask] = len(reps)
+                reps.append(new)
+            if is_prime(joined.bit_count() // rep.order):
+                # any zuppo in joined but not in rep generates joined with rep
+                skip |= bool_array_from_mask(joined, n)[zgen_idx]
+    ordered = sorted(found.values(), key=lambda s: (s.order, s.mask))
+    labels: dict[int, int] = {}
+    return SubgroupLattice(
+        group, ordered,
+        [labels.setdefault(class_of[s.mask], len(labels)) for s in ordered])

@@ -36,6 +36,7 @@ from .errors import (ActionTableError, RealizeError, SpecDomainError,
                      SpecSyntaxError)
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, stabilizer_chain_order
 from .perms import Perm
+from .primes import factorize, is_prime
 
 _CONSTRUCTORS = {
     "cyclic": 1, "dihedral": 1, "dicyclic": 1, "symmetric": 1,
@@ -44,12 +45,6 @@ _CONSTRUCTORS = {
 }
 
 _PRIME_POWERS_13 = {2, 3, 4, 5, 7, 8, 9, 11, 13}
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 @dataclass(frozen=True)
@@ -257,13 +252,10 @@ class _GF:
 
     def __init__(self, q: int):
         self.q = q
-        p = next(d for d in range(2, q + 1) if q % d == 0 and is_prime(d))
-        self.p = p
-        self.k = 1
-        while p ** self.k < q:
-            self.k += 1
-        if p ** self.k != q:
+        factors = factorize(q)
+        if len(factors) != 1:
             raise SpecDomainError(f"{q} is not a prime power")
+        (self.p, self.k), = factors.items()
         self.add = [[self._add(a, b) for b in range(q)] for a in range(q)]
         self.mul = [[self._mul(a, b) for b in range(q)] for a in range(q)]
         self.neg = [next(b for b in range(q) if self.add[a][b] == 0) for a in range(q)]

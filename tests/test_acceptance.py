@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 The long-running PSL(2,13) golden is optional; set GROUPGRAPH_LONG=1 to
-include it (roughly a minute of lattice enumeration).
+include it (a few seconds).
 """
 
 import os
@@ -18,7 +18,7 @@ from groupgraph import analytics as an
 from groupgraph.classify import is_iwasawa
 from groupgraph.cli import main as cli_main
 from groupgraph.errors import BudgetExceeded
-from groupgraph.lattice import brute_force_subgroup_masks
+from oracles import brute_force_subgroup_masks
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +81,7 @@ def test_acceptance_03_golden_invariants(dgraph):
 
 @pytest.mark.skipif(not os.environ.get("GROUPGRAPH_LONG"),
                     reason="long tier: set GROUPGRAPH_LONG=1 to run the "
-                           "PSL(2,13) golden (about a minute)")
+                           "PSL(2,13) golden (a few seconds)")
 def test_acceptance_03_long_tier_psl2_13():
     lat = all_subgroups(realize("psl2(13)"))
     d = build_graph(lat, "difference")

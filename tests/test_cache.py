@@ -1,10 +1,12 @@
+import hashlib
 import logging
 
 import pytest
 
 from groupgraph import all_subgroups, realize
-from groupgraph.cache import (cache_path, lattice_from_text, lattice_to_text,
-                              load_or_compute, table_digest)
+from groupgraph.cache import (FORMAT_VERSION, cache_path, lattice_from_text,
+                              lattice_to_text, load_or_compute, table_digest)
+from groupgraph.cli import main as cli_main
 from groupgraph.errors import CacheError
 
 
@@ -62,6 +64,37 @@ def test_corrupted_entry_is_recomputed(tmp_path, caplog):
     # and the bad entry was overwritten with a good one
     _, hit2 = load_or_compute(g, tmp_path)
     assert hit2
+
+
+def test_version_1_entry_is_discarded_and_rewritten(tmp_path, caplog):
+    g = realize("dihedral(4)")
+    load_or_compute(g, tmp_path)
+    path = cache_path(tmp_path, g)
+    body = path.read_text().rstrip("\n").rpartition("\n")[0]
+    body = body.replace(f"groupgraph-lattice-cache {FORMAT_VERSION}\n",
+                        "groupgraph-lattice-cache 1\n", 1)
+    path.write_text(
+        f"{body}\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+    with caplog.at_level(logging.WARNING):
+        lat, hit = load_or_compute(g, tmp_path)
+    assert not hit
+    assert any("discarding" in rec.message and "version" in rec.message
+               for rec in caplog.records)
+    assert path.read_text() == lattice_to_text(lat)
+    assert path.read_text().startswith(
+        f"groupgraph-lattice-cache {FORMAT_VERSION}\n")
+
+
+def test_dot_output_is_identical_cold_and_warm(tmp_path, capsys):
+    args = ["graph", "symmetric(4)", "--kind", "d", "--format", "dot",
+            "--cache", str(tmp_path)]
+    assert cli_main(args) == 0
+    cold = capsys.readouterr().out
+    assert len(list(tmp_path.glob("*.lattice"))) == 1
+    assert cli_main(args) == 0
+    warm = capsys.readouterr().out
+    assert cold.startswith("graph difference {")
+    assert warm == cold
 
 
 def test_wrong_group_entry_is_rejected():

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
-from groupgraph import (enumerate_elements, quotient_group, realize,
-                        stabilizer_chain_order)
-from groupgraph.errors import CapExceeded, NotNormal
-from groupgraph.groups import quotient_with_projection, subgroup_group
+from groupgraph import (FiniteGroup, enumerate_elements, quotient_group,
+                        realize, stabilizer_chain_order)
+from groupgraph.errors import CapExceeded, NotNormal, RealizeError
+from groupgraph.groups import (TableError, quotient_with_projection,
+                               subgroup_group)
 from groupgraph.perms import compose, identity, parse_cycles
 
 
@@ -51,6 +53,28 @@ def test_table_closed_under_products():
 def test_stabilizer_chain_order(text, order):
     g = realize(text)
     assert stabilizer_chain_order(g.generators) == order == g.order
+
+
+@pytest.mark.parametrize("text", [
+    "cyclic(64)", "direct(dihedral(4), cyclic(3))", "psl2(8)"])
+def test_mul_matches_compose(text):
+    g = realize(text)
+    expected = [[g.element_index[compose(p, q)] for q in g.elements]
+                for p in g.elements]
+    assert np.array_equal(g.mul, np.array(expected))
+
+
+def test_mul_rejects_a_table_that_is_not_closed():
+    three_cycle = parse_cycles("(0 1 2)", 3)
+    g = FiniteGroup([three_cycle], elements=[identity(3), three_cycle])
+    with pytest.raises(TableError):
+        g.mul
+
+
+def test_table_must_start_with_the_identity():
+    swap = parse_cycles("(0 1)", 2)
+    with pytest.raises(RealizeError):
+        FiniteGroup([swap], elements=[swap, identity(2)])
 
 
 def test_mul_inv_conj_tables():

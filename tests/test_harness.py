@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from groupgraph import REGISTRY, Budgets, build_bundle, hunt, run_corpus, verify
+from groupgraph import (REGISTRY, Budgets, build_bundle, hunt, load_corpus,
+                        run_corpus, verify)
 from groupgraph.corpus import parse_manifest
 from groupgraph.errors import RealizeError
 from groupgraph.harness import registry_table
@@ -131,6 +134,13 @@ def test_run_corpus_deterministic_across_threads(mini_corpus):
 def test_run_corpus_empty():
     report = run_corpus(parse_manifest(""), tier="fast")
     assert report.labels == [] and report.exit_code() == 0
+
+
+def test_readme_states_the_default_manifest_size():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    stated = re.search(r"corpus_default\.txt`\) lists\s+(\d+)\s", readme)
+    assert stated is not None
+    assert int(stated.group(1)) == len(load_corpus())
 
 
 def test_run_corpus_tier_filter(mini_corpus):

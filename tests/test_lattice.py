@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from groupgraph import all_subgroups, realize
 from groupgraph.errors import CapExceeded, GroupGraphError
 from groupgraph.groups import quotient_group
-from groupgraph.lattice import brute_force_subgroup_masks
-from groupgraph.perms import parse_cycles
+from groupgraph.perms import format_cycles, parse_cycles
+from oracles import brute_force_subgroup_masks
 
 
 @pytest.mark.parametrize("text,count", [
@@ -151,6 +153,36 @@ def test_conjugation_permutes_lattice(make):
 def test_completeness_against_brute_force(make, text):
     g, lat = make(text)
     assert {s.mask for s in lat.subgroups} == brute_force_subgroup_masks(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda d: st.lists(
+    st.permutations(range(d)), min_size=1, max_size=3)))
+def test_random_small_group_matches_brute_force(gens):
+    group = realize("raw(" + ", ".join(format_cycles(tuple(g)) for g in gens)
+                    + ")")
+    assume(group.order <= 24)
+    lat = all_subgroups(group)
+    assert {s.mask for s in lat.subgroups} == brute_force_subgroup_masks(group)
+
+
+@pytest.mark.parametrize("text,subgroups,classes", [
+    ("psl2(7)", 179, 15),
+    ("symmetric(5)", 156, 19),
+    ("psl2(8)", 386, 12),
+    ("elem_abelian(2,5)", 374, 374),
+])
+def test_counts_masks_and_classes(make, text, subgroups, classes):
+    g, lat = make(text)
+    assert lat.subgroup_count() == subgroups
+    assert len(lat.conj_classes) == classes
+    assert all(g.is_subgroup_mask(s.mask) for s in lat.subgroups)
+    assert all(g.subgroup_generated(s.gen_hint) == s.mask
+               for s in lat.subgroups)
+    for members in lat.conj_classes:
+        masks = {lat.mask_of(i) for i in members}
+        for x in g.generator_indices():
+            assert {g.conjugate_mask(m, x) for m in masks} == masks
 
 
 def test_quotient_orders_for_all_normals(make):
