@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .bits import iter_bits, lowest_bit
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, CriteriaDisagreement
 
 DEFAULT_SOLVER_BUDGET = 5_000_000
 DEFAULT_ISO_BUDGET = 200_000
@@ -38,19 +38,6 @@ def graph_from_edges(n: int, edges) -> Graph:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     return Graph(n, tuple(adj))
-
-
-def cycle_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full & ~(1 << i) for i in range(n)))
-
-
-def path_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complement(g) -> Graph:
@@ -305,17 +292,6 @@ def _components_within(adj, mask: int, complemented: bool) -> list[int]:
     return out
 
 
-def find_induced_p4(g) -> tuple[int, int, int, int] | None:
-    """Brute-force quartic scan for an induced path on four vertices."""
-    for a in range(g.n):
-        for b in iter_bits(g.adj[a]):
-            for c in iter_bits(g.adj[b] & ~g.adj[a] & ~(1 << a)):
-                tail = g.adj[c] & ~g.adj[a] & ~g.adj[b] & ~(1 << a) & ~(1 << b)
-                if tail:
-                    return (a, b, c, lowest_bit(tail))
-    return None
-
-
 def has_induced_c4(g) -> bool:
     for a in range(g.n):
         nonadj = ~g.adj[a] & ~((1 << (a + 1)) - 1)
@@ -330,46 +306,70 @@ def has_induced_c4(g) -> bool:
 def find_odd_hole_or_antihole(g, max_length: int = 11,
                               budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[str, tuple[int, ...]] | None:
     """Bounded perfectness scan: an induced odd cycle of length 5..max_length
-    in the graph or its complement, or None. Not a full perfection test."""
-    for tag, graph in (("hole", g), ("antihole", complement(g))):
-        found = _find_odd_hole(graph, max_length, budget)
+    in the graph ("hole") or its complement ("antihole"), or None. Not a
+    full perfection test.
+
+    Both kinds of witness are connected in ``g`` (the complement of C_k is
+    connected for k >= 5), so each lies inside one connected component.
+    The scan searches only components of at least 5 vertices and takes the
+    complement inside each component. Start vertices are still tried in
+    ascending order and every search visits the in-component paths in the
+    same order as a scan of the whole graph and its complement, so the
+    witness is the same as that scan's. ``budget`` bounds the path
+    extensions of each of the two scans; skipping small components and
+    paths that leave a component can only lower that count.
+    """
+    # vertex -> mask of its component, 0 when the component is too small
+    comp_of = [0] * g.n
+    for comp in _components_within(g.adj, (1 << g.n) - 1, False):
+        if comp.bit_count() >= 5:
+            for v in iter_bits(comp):
+                comp_of[v] = comp
+    anti = [comp_of[v] & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
+    for tag, adj in (("hole", g.adj), ("antihole", anti)):
+        found = _find_odd_hole(adj, comp_of, max_length, budget)
         if found:
             return tag, found
     return None
 
 
-def _find_odd_hole(g, max_length: int, budget: int):
+def _find_odd_hole(adj, comp_of: list[int], max_length: int, budget: int):
+    """Depth-first search for an induced cycle over chordless paths from
+    each start a through vertices of a's component above a. ``blocked`` is
+    the union of the neighborhoods of the path's interior vertices: a
+    candidate in it would be a chord."""
     nodes = 0
 
-    def extend(path: list[int], allowed: int):
+    def extend(path: list[int], allowed: int, blocked: int):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded("odd-hole scan exceeded its budget")
-        start = path[0]
         last = path[-1]
-        for v in iter_bits(allowed & g.adj[last]):
-            # induced: v may touch nothing strictly inside the path
-            if any(g.adj[v] >> u & 1 for u in path[1:-1]):
-                continue
-            if len(path) >= 2 and g.adj[v] >> start & 1:
-                # closing edge: an induced cycle on len(path) + 1 vertices;
-                # a chord-free extension through v is impossible either way
-                length = len(path) + 1
-                if length >= 5 and length % 2 == 1:
-                    return tuple(path + [v])
-                continue
-            if len(path) + 1 < max_length:
-                hit = extend(path + [v], allowed & ~(1 << v))
+        cand = allowed & adj[last] & ~blocked
+        witness = None
+        if len(path) >= 2:
+            # a candidate adjacent to the start closes an induced cycle on
+            # len(path) + 1 vertices; no induced path continues through it
+            closers = cand & adj[path[0]]
+            cand &= ~closers
+            if closers and len(path) >= 4 and len(path) % 2 == 0:
+                c = lowest_bit(closers)
+                cand &= (1 << c) - 1  # smaller candidates are searched first
+                witness = tuple(path) + (c,)
+            blocked |= adj[last]
+        if len(path) + 1 < max_length:
+            for v in iter_bits(cand):
+                hit = extend(path + [v], allowed & ~(1 << v), blocked)
                 if hit:
                     return hit
-        return None
+        return witness
 
-    for a in range(g.n):
-        allowed = ~((1 << (a + 1)) - 1) & ((1 << g.n) - 1)
-        hit = extend([a], allowed)
-        if hit:
-            return hit
+    for a, comp in enumerate(comp_of):
+        if comp:
+            hit = extend([a], comp & ~((1 << (a + 1)) - 1), 0)
+            if hit:
+                return hit
     return None
 
 
@@ -552,11 +552,19 @@ def analyze(g, *, clique_budget: int = DEFAULT_SOLVER_BUDGET,
 
 
 def _check_report(r: AnalysisReport) -> None:
-    if r.clique_number is not None:
-        assert (r.clique_number >= 2) == (r.edge_count >= 1)
-    if r.independence_number is not None:
-        assert r.independence_number >= r.isolated_count
-    if r.bipartite:
-        assert r.girth == INF or r.girth % 2 == 0
-    if r.is_cycle and r.cycle_length % 2 == 1:
-        assert not r.bipartite
+    """Raise CriteriaDisagreement when invariants computed by independent
+    routines contradict each other."""
+    if r.clique_number is not None and \
+            (r.clique_number >= 2) != (r.edge_count >= 1):
+        raise CriteriaDisagreement(
+            f"clique number {r.clique_number} with {r.edge_count} edges")
+    if r.independence_number is not None and \
+            r.independence_number < r.isolated_count:
+        raise CriteriaDisagreement(
+            f"independence number {r.independence_number} below "
+            f"{r.isolated_count} isolated vertices")
+    if r.bipartite and r.girth != INF and r.girth % 2 == 1:
+        raise CriteriaDisagreement(f"bipartite with odd girth {r.girth}")
+    if r.bipartite and r.is_cycle and r.cycle_length % 2 == 1:
+        raise CriteriaDisagreement(
+            f"bipartite odd cycle of length {r.cycle_length}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analytics as an
 from .classify import GroupClassification, classify, is_abelian
-from .corpus import Corpus, CorpusEntry, tier_allows, tier_of_order
+from .corpus import Corpus, tier_allows, tier_of_order
 from .errors import BudgetExceeded, GroupGraphError, RealizeError
 from .graphs import (SubgroupGraph, build_graph, conjugation_vertex_map,
                      is_graph_automorphism, quotient_embedding,
@@ -84,13 +84,14 @@ class TheoremCheck:
     evaluate: callable = field(repr=False)
 
 
-def build_bundle(label: str, spec: GroupSpec | str, *,
+def build_bundle(label: str, spec: FiniteGroup | GroupSpec | str, *,
                  budgets: Budgets | None = None,
                  cache_dir: str | None = None,
                  allow_unverified: bool | None = None) -> GroupBundle:
-    """Realize a group and compute everything the checks consume."""
+    """Compute everything the checks consume for a group, realizing it
+    first when ``spec`` is a spec rather than a realized group."""
     budgets = budgets or Budgets()
-    group = realize(spec)
+    group = spec if isinstance(spec, FiniteGroup) else realize(spec)
     group.spec_label = f"{label}={group.spec_label}" if label else group.spec_label
     lat, _ = cache_mod.load_or_compute(group, cache_dir)
     cls = classify(group, lat)
@@ -579,6 +580,33 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+def _map_bundles(fn, corpus: Corpus, tier: str, budgets: Budgets | None,
+                 cache_dir: str | None, threads: int) -> list:
+    """``fn(bundle)`` for every corpus group in the tier, in manifest order.
+
+    Each entry is realized once, and ``build_bundle`` gets the realized
+    group. ``fn`` runs where its bundle was built, so a caller that keeps
+    only what ``fn`` returns holds at most ``threads`` bundles at a time.
+    A spec that cannot be realized raises RealizeError naming its label.
+    """
+    def selected():
+        for entry in corpus:
+            try:
+                group = realize(entry.spec)
+            except GroupGraphError as exc:
+                raise RealizeError(f"{entry.label}: {exc}") from exc
+            if tier_allows(tier, group.order):
+                yield entry.label, group
+
+    def work(item):
+        return fn(build_bundle(*item, budgets=budgets, cache_dir=cache_dir))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, selected()))
+    return [work(item) for item in selected()]
+
+
 def run_corpus(corpus: Corpus, checks=None, tier: str = "fast", *,
                budgets: Budgets | None = None, threads: int = 1,
                cache_dir: str | None = None) -> RunReport:
@@ -588,31 +616,15 @@ def run_corpus(corpus: Corpus, checks=None, tier: str = "fast", *,
     manifest order, so the output does not depend on the thread count.
     """
     from . import __version__
-    budgets = budgets or Budgets()
     if checks is None:
         checks = list(REGISTRY.values())
-    selected: list[tuple[CorpusEntry, FiniteGroup]] = []
-    for entry in corpus:
-        try:
-            group = realize(entry.spec)
-        except GroupGraphError as exc:
-            raise RealizeError(f"{entry.label}: {exc}") from exc
-        if tier_allows(tier, group.order):
-            selected.append((entry, group))
 
-    def work(item):
-        entry, _ = item
-        bundle = build_bundle(entry.label, entry.spec, budgets=budgets,
-                              cache_dir=cache_dir)
-        return entry.label, bundle.group.order, {
+    def row(bundle):
+        return bundle.label, bundle.group.order, {
             c.id: verify(c, bundle) for c in checks}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, selected))
-    else:
-        results = [work(item) for item in selected]
-    labels = [entry.label for entry, _ in selected]
+    results = _map_bundles(row, corpus, tier, budgets, cache_dir, threads)
+    labels = [label for label, _, _ in results]
     orders = {label: order for label, order, _ in results}
     verdicts = {label: row for label, _, row in results}
     return RunReport(tier=tier, manifest_sha256=corpus.manifest_sha256,
@@ -635,23 +647,6 @@ class HuntFinding:
 
 
 HUNT_IDS = ("H-1", "H-2", "H-3", "H-4", "H-5")
-
-
-def _hunt_bundles(corpus, tier, budgets, cache_dir, threads=1):
-    entries = []
-    for entry in corpus:
-        group = realize(entry.spec)
-        if tier_allows(tier, group.order):
-            entries.append(entry)
-
-    def work(entry):
-        return build_bundle(entry.label, entry.spec, budgets=budgets,
-                            cache_dir=cache_dir)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, entries))
-    return [work(entry) for entry in entries]
 
 
 def _hunt_h1(bundles, budgets):
@@ -806,7 +801,8 @@ def hunt(target: str, corpus: Corpus, *, tier: str = "fast",
     for t in targets:
         if t not in _HUNTS:
             raise GroupGraphError(f"unknown hunt target {t!r}")
-    bundles = _hunt_bundles(corpus, tier, budgets, cache_dir, threads)
+    bundles = _map_bundles(lambda bundle: bundle, corpus, tier, budgets,
+                           cache_dir, threads)
     findings = []
     for t in targets:
         findings.extend(_HUNTS[t](bundles, budgets))

@@ -3,6 +3,9 @@
 from itertools import combinations
 from math import log2
 
+from groupgraph.analytics import Graph, graph_from_edges
+from groupgraph.bits import iter_bits, lowest_bit
+
 
 def brute_force_subgroup_masks(group, max_generators=None) -> set[int]:
     """Closures of every generating set of bounded size.
@@ -19,3 +22,55 @@ def brute_force_subgroup_masks(group, max_generators=None) -> set[int]:
         for combo in combinations(nonidentity, size):
             masks.add(group.subgroup_generated(combo))
     return masks
+
+
+# -- small graphs and brute-force graph scans ----------------------------------
+
+
+def cycle_graph(n: int) -> Graph:
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n: int) -> Graph:
+    full = (1 << n) - 1
+    return Graph(n, tuple(full & ~(1 << i) for i in range(n)))
+
+
+def path_graph(n: int) -> Graph:
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def find_induced_p4(g) -> tuple[int, int, int, int] | None:
+    """Brute-force quartic scan for an induced path on four vertices."""
+    for a in range(g.n):
+        for b in iter_bits(g.adj[a]):
+            for c in iter_bits(g.adj[b] & ~g.adj[a] & ~(1 << a)):
+                tail = g.adj[c] & ~g.adj[a] & ~g.adj[b] & ~(1 << a) & ~(1 << b)
+                if tail:
+                    return (a, b, c, lowest_bit(tail))
+    return None
+
+
+def induces_cycle(g, vertices) -> bool:
+    """Do ``vertices`` (in any order) induce one cycle in ``g``? That is:
+    every vertex has exactly two neighbours among them, and they are
+    connected."""
+    mask = sum(1 << v for v in vertices)
+    if len(vertices) < 3 or any((g.adj[v] & mask).bit_count() != 2
+                                for v in vertices):
+        return False
+    seen = frontier = 1 << vertices[0]
+    while frontier:
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= g.adj[v] & mask
+        frontier = nxt & ~seen
+        seen |= nxt
+    return seen == mask
+
+
+def has_induced_odd_cycle(g, lengths=(5, 7, 9)) -> bool:
+    """Is some vertex subset of a size in ``lengths`` an induced cycle?
+    Tries every subset, so only meant for graphs of at most 10 vertices."""
+    return any(induces_cycle(g, subset) for k in lengths
+               for subset in combinations(range(g.n), k))

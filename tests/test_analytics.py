@@ -2,16 +2,19 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupgraph import analytics as an
 from groupgraph.analytics import (INF, Graph, complement, components,
-                                  complete_graph, cycle_graph, find_claw,
-                                  find_induced_p4, girth, graph_from_edges,
-                                  graphs_isomorphic, independence_number,
-                                  is_bipartite, is_clawfree, is_cograph,
-                                  is_cycle, max_clique, path_graph,
-                                  universal_vertices)
-from groupgraph.errors import BudgetExceeded
+                                  find_claw, find_odd_hole_or_antihole, girth,
+                                  graph_from_edges, graphs_isomorphic,
+                                  independence_number, is_bipartite,
+                                  is_clawfree, is_cograph, is_cycle,
+                                  max_clique, universal_vertices)
+from groupgraph.errors import BudgetExceeded, CriteriaDisagreement
+from oracles import (complete_graph, cycle_graph, find_induced_p4,
+                     has_induced_odd_cycle, induces_cycle, path_graph)
 
 
 def random_graph(n, p, seed):
@@ -205,6 +208,96 @@ def test_is_cycle(dgraph):
     assert is_cycle(two_triangles) == (False, None)   # 2-regular, disconnected
 
 
+# -- odd holes and antiholes -------------------------------------------------------
+
+def assert_valid_witness(g, found, max_length=11):
+    tag, cycle = found
+    h = g if tag == "hole" else complement(g)
+    k = len(cycle)
+    assert 5 <= k <= max_length and k % 2 == 1, found
+    assert induces_cycle(h, list(cycle)), found
+    # listed in cycle order
+    assert all(h.adj[cycle[i]] >> cycle[(i + 1) % k] & 1 for i in range(k))
+
+
+def disjoint_union(g, h):
+    """``g`` and ``h`` side by side, ``g``'s vertices numbered first."""
+    return Graph(g.n + h.n, tuple(g.adj) + tuple(row << g.n for row in h.adj))
+
+
+def test_odd_hole_and_antihole_examples():
+    c5 = cycle_graph(5)
+    assert find_odd_hole_or_antihole(c5) == ("hole", (0, 1, 2, 3, 4))
+    anti7 = complement(cycle_graph(7))
+    assert find_odd_hole_or_antihole(anti7) == ("antihole", tuple(range(7)))
+    # isolated vertices split the graph into components
+    padded = disjoint_union(Graph(3, (0, 0, 0)), anti7)
+    assert find_odd_hole_or_antihole(padded) == \
+        ("antihole", tuple(range(3, 10)))
+    # on the path 0-1-5-4, vertex 3 closes a 5-cycle; the larger
+    # candidate 7 would lead on to the 7-cycle 0-1-5-4-7-2-6
+    two_cycles = graph_from_edges(8, [(0, 1), (0, 3), (0, 6), (1, 5), (2, 6),
+                                      (2, 7), (3, 4), (4, 5), (4, 7)])
+    assert find_odd_hole_or_antihole(two_cycles) == ("hole", (0, 1, 5, 4, 3))
+    # every component is searched for a hole before any for an antihole
+    assert find_odd_hole_or_antihole(disjoint_union(anti7, c5)) == \
+        ("hole", (7, 8, 9, 10, 11))
+    bipartite = graph_from_edges(
+        7, [(i, j) for i in range(3) for j in range(3, 7) if (i + j) % 3])
+    for g in (cycle_graph(4), cycle_graph(6), complete_graph(6), bipartite):
+        assert find_odd_hole_or_antihole(g) is None
+    assert find_odd_hole_or_antihole(cycle_graph(9), max_length=7) is None
+    assert find_odd_hole_or_antihole(cycle_graph(9))[0] == "hole"
+
+
+def test_odd_hole_budget_is_an_error():
+    with pytest.raises(BudgetExceeded):
+        find_odd_hole_or_antihole(complement(cycle_graph(7)), budget=1)
+
+
+@pytest.mark.parametrize("text,cycle", [
+    ("alternating(5)", (0, 20, 2, 19, 11, 16, 22)),
+    ("symmetric(4)", (0, 10, 2, 26, 24)),
+    ("direct(dihedral(3), cyclic(3))", (0, 5, 1, 7, 8)),
+])
+def test_odd_hole_witness_on_difference_graphs(dgraph, text, cycle):
+    # the first induced odd cycle in depth-first order from the least start
+    g = dgraph(text)
+    found = find_odd_hole_or_antihole(g)
+    assert found == ("hole", cycle)
+    assert_valid_witness(g, found)
+
+
+def test_odd_hole_scan_finds_none_on_dih32(dgraph):
+    assert find_odd_hole_or_antihole(dgraph("dihedral(16)")) is None
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return graph_from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.sampled_from([5, 7, 9, 11]))
+def test_odd_hole_scan_matches_brute_force(g, max_length):
+    lengths = range(5, max_length + 1, 2)
+    hole = has_induced_odd_cycle(g, lengths)
+    antihole = has_induced_odd_cycle(complement(g), lengths)
+    found = find_odd_hole_or_antihole(g, max_length=max_length)
+    if hole:
+        assert found is not None and found[0] == "hole"
+    elif antihole:
+        assert found is not None and found[0] == "antihole"
+    else:
+        assert found is None
+    if found is not None:
+        assert_valid_witness(g, found, max_length)
+
+
 # -- isomorphism -------------------------------------------------------------------
 
 def test_isomorphic_pairs(dgraph):
@@ -287,3 +380,10 @@ def test_clique_equals_complement_independence_sample():
     for seed in range(25):
         g = random_graph(16, 0.45, 6000 + seed)
         assert max_clique(g)[0] == independence_number(complement(g)), seed
+
+
+def test_inconsistent_report_raises():
+    report = an.analyze(cycle_graph(5))
+    report.clique_number = 1   # one edge or more means a clique of two
+    with pytest.raises(CriteriaDisagreement, match="clique number 1"):
+        an._check_report(report)

@@ -164,6 +164,12 @@ def test_run_corpus_aborts_on_bad_spec():
         run_corpus(bad, tier="fast")
 
 
+def test_hunt_names_the_entry_it_cannot_realize():
+    bad = parse_manifest("s3 = dihedral(3)\nhuge = symmetric(9)\n")
+    with pytest.raises(RealizeError, match="^huge: "):
+        hunt("H-1", bad)
+
+
 def test_report_text_format(mini_report):
     text = mini_report.to_text()
     assert "tier=fast" in text
@@ -195,6 +201,14 @@ def test_hunt_h3_isomorphic_pair(mini_corpus):
     assert pair and all(f.status == "supporting" for f in pair)
     notes = [f for f in findings if f.status == "coverage-note"]
     assert notes and "a5" in notes[0].groups
+
+
+def test_hunt_h4_bounded_perfectness(mini_corpus):
+    findings = hunt("H-4", mini_corpus)
+    assert [f.groups for f in findings] == [
+        ("s3",), ("d4",), ("a4",), ("s3xz5",), ("s3xz7",), ("es27_exp3",),
+        ("gap_32_49_like",)]
+    assert all(f.status == "supporting" for f in findings)
 
 
 def test_hunt_h5(mini_corpus):
