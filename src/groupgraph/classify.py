@@ -187,13 +187,11 @@ def classify(group: FiniteGroup, lat: SubgroupLattice) -> GroupClassification:
     witnesses: dict = {}
     abelian = is_abelian(group)
     p = p_group_prime(group)
-    dedekind = all(lat.is_normal)
+    dedekind = is_dedekind(group, lat)
+    iwasawa = True
     if not dedekind:
         witnesses["non_normal_subgroup"] = next(
             i for i, flag in enumerate(lat.is_normal) if not flag)
-    if dedekind:
-        iwasawa = True
-    else:
         pair = _iwasawa_witness(lat)
         iwasawa = pair is None
         if pair:

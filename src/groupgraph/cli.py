@@ -231,7 +231,8 @@ def build_parser() -> _Parser:
     common(p, spec=False)
     p.add_argument("--corpus", default=None, help="manifest path (default: built-in)")
     p.add_argument("--tier", choices=("fast", "standard", "long"), default="fast")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored; bundles are built one at a time")
     p.add_argument("--theorem", default=None, metavar="ID[,ID...]")
     p.add_argument("--list", action="store_true",
                    help="print the statement registry and exit")
@@ -243,7 +244,8 @@ def build_parser() -> _Parser:
                    choices=("H-1", "H-2", "H-3", "H-4", "H-5", "gap3249", "all"))
     p.add_argument("--corpus", default=None)
     p.add_argument("--tier", choices=("fast", "standard", "long"), default="fast")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored; bundles are built one at a time")
     p.set_defaults(func=cmd_hunt)
 
     return parser

@@ -11,7 +11,6 @@ actually exercises each statement.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -20,13 +19,15 @@ import numpy as np
 from . import analytics as an
 from .classify import GroupClassification, classify, is_abelian
 from .corpus import Corpus, tier_allows, tier_of_order
-from .errors import BudgetExceeded, GroupGraphError, RealizeError
+from .errors import (ActionTableError, BudgetExceeded, GroupGraphError,
+                     RealizeError)
 from .graphs import (SubgroupGraph, build_graph, conjugation_vertex_map,
                      is_graph_automorphism, quotient_embedding,
                      semidirect_embedding, star_reduction)
 from .groups import FiniteGroup
 from .lattice import SubgroupLattice
-from .specs import ACTIONS, GroupSpec, parse_group_spec, realize
+from .specs import (ACTIONS, GroupSpec, _automorphism_from_images,
+                    _realize_semidirect, parse_group_spec, realize)
 from . import cache as cache_mod
 
 QUOTIENT_EMBED_MAX_INDEX = 24
@@ -581,30 +582,29 @@ class RunReport:
 
 
 def _map_bundles(fn, corpus: Corpus, tier: str, budgets: Budgets | None,
-                 cache_dir: str | None, threads: int) -> list:
+                 cache_dir: str | None) -> list:
     """``fn(bundle)`` for every corpus group in the tier, in manifest order.
 
+    Bundles are built one at a time in the calling thread, so a caller
+    that keeps only what ``fn`` returns holds one bundle at a time. There
+    is no pool: bundle work is Python that holds the interpreter lock, so
+    threads only add waiting.
     Each entry is realized once, and ``build_bundle`` gets the realized
-    group. ``fn`` runs where its bundle was built, so a caller that keeps
-    only what ``fn`` returns holds at most ``threads`` bundles at a time.
-    A spec that cannot be realized raises RealizeError naming its label.
+    group. Invariants whose exact solver runs out of budget come back as
+    None, which the checks and hunts report as unverified. A spec that
+    cannot be realized raises RealizeError naming its label.
     """
-    def selected():
-        for entry in corpus:
-            try:
-                group = realize(entry.spec)
-            except GroupGraphError as exc:
-                raise RealizeError(f"{entry.label}: {exc}") from exc
-            if tier_allows(tier, group.order):
-                yield entry.label, group
-
-    def work(item):
-        return fn(build_bundle(*item, budgets=budgets, cache_dir=cache_dir))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, selected()))
-    return [work(item) for item in selected()]
+    out = []
+    for entry in corpus:
+        try:
+            group = realize(entry.spec)
+        except GroupGraphError as exc:
+            raise RealizeError(f"{entry.label}: {exc}") from exc
+        if tier_allows(tier, group.order):
+            out.append(fn(build_bundle(entry.label, group, budgets=budgets,
+                                       cache_dir=cache_dir,
+                                       allow_unverified=True)))
+    return out
 
 
 def run_corpus(corpus: Corpus, checks=None, tier: str = "fast", *,
@@ -612,8 +612,10 @@ def run_corpus(corpus: Corpus, checks=None, tier: str = "fast", *,
                cache_dir: str | None = None) -> RunReport:
     """Evaluate the registry over every corpus group in the tier.
 
-    Bundles are built in parallel; the verdict matrix is assembled in
-    manifest order, so the output does not depend on the thread count.
+    The verdict matrix is in manifest order. ``threads`` is ignored;
+    bundles are built one at a time. A solver that runs out of budget
+    gives ``unverified`` verdicts for its group, and the rest of the
+    matrix is still computed.
     """
     from . import __version__
     if checks is None:
@@ -623,7 +625,7 @@ def run_corpus(corpus: Corpus, checks=None, tier: str = "fast", *,
         return bundle.label, bundle.group.order, {
             c.id: verify(c, bundle) for c in checks}
 
-    results = _map_bundles(row, corpus, tier, budgets, cache_dir, threads)
+    results = _map_bundles(row, corpus, tier, budgets, cache_dir)
     labels = [label for label, _, _ in results]
     orders = {label: order for label, order, _ in results}
     verdicts = {label: row for label, _, row in results}
@@ -795,14 +797,17 @@ _HUNTS = {"H-1": _hunt_h1, "H-2": _hunt_h2, "H-3": _hunt_h3,
 def hunt(target: str, corpus: Corpus, *, tier: str = "fast",
          budgets: Budgets | None = None, cache_dir: str | None = None,
          threads: int = 1) -> list[HuntFinding]:
-    """Evaluate one open-problem target (or 'all') over the corpus."""
+    """Evaluate one open-problem target (or 'all') over the corpus.
+
+    ``threads`` is ignored; bundles are built one at a time.
+    """
     budgets = budgets or Budgets()
     targets = list(_HUNTS) if target == "all" else [target]
     for t in targets:
         if t not in _HUNTS:
             raise GroupGraphError(f"unknown hunt target {t!r}")
     bundles = _map_bundles(lambda bundle: bundle, corpus, tier, budgets,
-                           cache_dir, threads)
+                           cache_dir)
     findings = []
     for t in targets:
         findings.extend(_HUNTS[t](bundles, budgets))
@@ -813,28 +818,15 @@ def hunt(target: str, corpus: Corpus, *, tier: str = "fast",
 
 def _all_automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     """Every automorphism as an index map, in canonical (sorted) order."""
-    gens = group.generator_indices()
     orders = group.element_orders
-    mul = group.mul
-    pools = [[i for i in range(group.order) if orders[i] == orders[g]]
-             for g in gens]
+    pools = [[p for i, p in enumerate(group.elements)
+              if orders[i] == orders[g]]
+             for g in group.generator_indices()]
     auts = []
     for images in product(*pools):
-        phi = np.full(group.order, -1, dtype=np.int64)
-        phi[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, img in zip(gens, images):
-                    y = int(mul[x, g])
-                    if phi[y] < 0:
-                        phi[y] = mul[phi[x], img]
-                        nxt.append(y)
-            frontier = nxt
-        if len(set(phi.tolist())) != group.order:
-            continue
-        if not (phi[mul] == mul[np.ix_(phi, phi)]).all():
+        try:
+            phi = _automorphism_from_images(group, list(images))
+        except ActionTableError:
             continue
         auts.append(tuple(int(v) for v in phi))
     return sorted(auts)
@@ -849,9 +841,9 @@ def find_gap3249_action() -> GroupSpec:
     The winning action table must match the frozen 'gap3249' registry entry.
     """
     from . import perms
-    from .specs import register_action
 
     normal = realize("elem_abelian(2,3)")
+    acting = realize("elem_abelian(2,2)")
     auts = _all_automorphisms(normal)
     ident = tuple(range(normal.order))
     invs = [a for a in auts
@@ -868,9 +860,7 @@ def find_gap3249_action() -> GroupSpec:
                 normal.elements[phi[normal.element_index[g]]])
                 for g in normal.generators)
             for phi in (a_map, b_map))
-        register_action("_gap3249_scan", rows)
-        group = realize(
-            "semidirect(elem_abelian(2,3), elem_abelian(2,2), _gap3249_scan)")
+        group = _realize_semidirect(normal, acting, rows)
         if is_abelian(group):
             continue
         bundle_lat, _ = cache_mod.load_or_compute(group, None)

@@ -399,15 +399,14 @@ def _automorphism_from_images(group: FiniteGroup, images: list[Perm]) -> np.ndar
     return phi
 
 
-def _realize_semidirect(normal: FiniteGroup, acting: FiniteGroup,
-                        action_id: str, order_cap: int) -> FiniteGroup:
-    if action_id not in ACTIONS:
-        raise ActionTableError(f"unknown action id {action_id!r}")
-    rows = ACTIONS[action_id]
+def _realize_semidirect(normal: FiniteGroup, acting: FiniteGroup, rows,
+                        order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """N x| K for an action table: one row per K generator, each row the
+    images of N's generators in cycle notation (see ``ACTIONS``)."""
     if len(rows) != len(acting.generators):
         raise ActionTableError(
-            f"action {action_id!r} has {len(rows)} rows but the acting group "
-            f"has {len(acting.generators)} generators")
+            f"{len(rows)} rows but the acting group has "
+            f"{len(acting.generators)} generators")
     nsize = normal.order
     degree = nsize + acting.degree
     gens: list[Perm] = []
@@ -417,8 +416,8 @@ def _realize_semidirect(normal: FiniteGroup, acting: FiniteGroup,
     for row, k in zip(rows, acting.generators):
         if len(row) != len(normal.generators):
             raise ActionTableError(
-                f"action {action_id!r}: row length {len(row)} != "
-                f"{len(normal.generators)} normal generators")
+                f"row length {len(row)} != {len(normal.generators)} normal "
+                f"generators")
         images = [perms.parse_cycles(text, normal.degree) for text in row]
         phi = _automorphism_from_images(normal, images)
         gens.append(tuple(int(v) for v in phi) +
@@ -427,8 +426,8 @@ def _realize_semidirect(normal: FiniteGroup, acting: FiniteGroup,
     expected = normal.order * acting.order
     if group.order != expected:
         raise ActionTableError(
-            f"action table {action_id!r} is not a homomorphism: semidirect "
-            f"product has order {group.order}, expected {expected}")
+            f"not a homomorphism: semidirect product has order "
+            f"{group.order}, expected {expected}")
     normal_mask = 0
     complement_mask = 0
     block1 = tuple(range(nsize, degree))
@@ -496,8 +495,14 @@ def realize(spec: GroupSpec | str, order_cap: int = DEFAULT_ORDER_CAP) -> Finite
         gens = [perms.pad(g, degree) for g in a.generators]
         gens += [perms.shift(g, a.degree, degree) for g in b.generators]
     elif kind == "semidirect":
+        if args[2] not in ACTIONS:
+            raise ActionTableError(f"unknown action id {args[2]!r}")
         parts = [realize(args[0], order_cap), realize(args[1], order_cap)]
-        group = _realize_semidirect(parts[0], parts[1], args[2], order_cap)
+        try:
+            group = _realize_semidirect(parts[0], parts[1], ACTIONS[args[2]],
+                                        order_cap)
+        except ActionTableError as exc:
+            raise ActionTableError(f"action {args[2]!r}: {exc}") from exc
         group.spec_label = str(spec)
         _check_realized(group, _theoretical_order(spec, parts))
         return group

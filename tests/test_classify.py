@@ -85,6 +85,8 @@ def test_is_simple(make, text, expected):
 def test_implication_chain_holds(make, text):
     g, lat = make(text)
     c = classify(g, lat)   # classify() itself asserts the chain
+    assert c.dedekind == is_dedekind(g, lat)
+    assert c.iwasawa == is_iwasawa(g, lat)
     if c.abelian:
         assert c.dedekind and c.nilpotent
     if c.dedekind:
@@ -109,6 +111,7 @@ def test_witnesses_present(make):
     c = classify(g, lat)
     assert "non_normal_subgroup" in c.witnesses
     assert "non_normal_sylow" in c.witnesses
+    assert "non_permutable_pair" in c.witnesses
     assert c.witnesses["derived_series_orders"] == (6, 3, 1)
 
 

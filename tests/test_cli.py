@@ -3,6 +3,7 @@ import json
 import pytest
 
 from groupgraph.cli import main
+from groupgraph.harness import Budgets, build_bundle
 
 MINI = """\
 s3 = dihedral(3)
@@ -130,15 +131,52 @@ def test_verify_corrupt_manifest(capsys, tmp_path):
 
 
 def test_verify_threads_deterministic(capsys, mini_corpus_file, tmp_path):
+    """``--threads`` still parses, and changes nothing."""
     cache = str(tmp_path / "cache")
     outputs = []
-    for threads in ("1", "8"):
+    for threads in ((), ("--threads", "8")):
         code, out, _ = run_cli(capsys, "verify", "--corpus", mini_corpus_file,
-                               "--threads", threads, "--cache", cache,
-                               "--format", "json")
+                               *threads, "--cache", cache, "--format", "json")
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_verify_budget_exhaustion_gives_unverified_cells(capsys, tmp_path):
+    """An independence search that runs out of budget turns its group's
+    T-5.x cells into U; the rest of the matrix is the default run's."""
+    specs = {"s3": "dihedral(3)", "psl2_7": "psl2(7)", "c4": "cyclic(4)"}
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("".join(f"{k} = {v}\n" for k, v in specs.items()))
+    argv = ("verify", "--corpus", str(manifest), "--cache",
+            str(tmp_path / "c"))
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    default = json.loads(out)["verdicts"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json",
+                           "--budget-indep", "2")
+    assert code == 3
+    payload = json.loads(out)
+    labels = [g["label"] for g in payload["groups"]]
+    assert labels == list(specs) and payload["exit_code"] == 3
+    ran_out = {label for label in labels
+               if "independence_number" in build_bundle(
+                   label, specs[label], budgets=Budgets(independence=2),
+                   allow_unverified=True).report.unverified}
+    assert ran_out == {"psl2_7"}
+    for label in labels:
+        for tid, cell in payload["verdicts"][label].items():
+            if tid.startswith("T-5.") and label in ran_out:
+                assert cell["status"] == "unverified", (label, tid)
+            else:
+                assert cell == default[label][tid], (label, tid)
+    code, out, _ = run_cli(capsys, *argv, "--format", "text",
+                           "--budget-indep", "2")
+    assert code == 3
+    lines = out.splitlines()
+    row = next(line for line in lines if line.startswith("psl2_7 "))
+    cells = dict(zip(lines[1].split(), row.split()[1:]))
+    assert [cells[t] for t in ("5.1", "5.2", "5.3", "5.4")] == ["U"] * 4
 
 
 def test_export_writes_file(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import json
 import re
 from pathlib import Path
 
@@ -6,9 +5,10 @@ import pytest
 
 from groupgraph import (REGISTRY, Budgets, build_bundle, hunt, load_corpus,
                         run_corpus, verify)
-from groupgraph.corpus import parse_manifest
+from groupgraph.corpus import Corpus, parse_manifest
 from groupgraph.errors import RealizeError
-from groupgraph.harness import registry_table
+from groupgraph.harness import _all_automorphisms, registry_table
+from groupgraph.specs import realize
 
 MINI_MANIFEST = """
 # tiny corpus for harness tests
@@ -125,10 +125,27 @@ def test_run_corpus_gap3249_row(mini_report):
 
 
 def test_run_corpus_deterministic_across_threads(mini_corpus):
-    a = run_corpus(mini_corpus, tier="fast", threads=1)
-    b = run_corpus(mini_corpus, tier="fast", threads=4)
-    assert json.dumps(a.to_json_dict(), sort_keys=True) == \
-        json.dumps(b.to_json_dict(), sort_keys=True)
+    """Rows do not depend on manifest order; ``threads`` is ignored."""
+    reversed_corpus = Corpus(tuple(reversed(mini_corpus.entries)),
+                             mini_corpus.manifest_sha256)
+    a = run_corpus(mini_corpus, tier="fast")
+    b = run_corpus(reversed_corpus, tier="fast", threads=4)
+    assert b.labels == a.labels[::-1]
+
+    def rows(report):
+        return {label: {tid: v.to_json_dict() for tid, v in row.items()}
+                for label, row in report.verdicts.items()}
+
+    assert rows(a) == rows(b)
+
+
+def test_all_automorphisms_counts():
+    # |GL(3, 2)| = 168, Aut(D4) = D4, Aut(Z8) = (Z/8)^*
+    for text, count in (("elem_abelian(2,3)", 168), ("dihedral(4)", 8),
+                        ("cyclic(8)", 4)):
+        auts = _all_automorphisms(realize(text))
+        assert len(auts) == count == len(set(auts)), text
+        assert auts == sorted(auts) and auts[0] == tuple(range(len(auts[0])))
 
 
 def test_run_corpus_empty():

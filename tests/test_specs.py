@@ -122,7 +122,7 @@ def test_canonical_generators_frozen():
 
 def test_unknown_action_rejected_at_realize():
     spec = parse_group_spec("semidirect(elem_abelian(2,3), elem_abelian(2,2), a0)")
-    with pytest.raises(ActionTableError):
+    with pytest.raises(ActionTableError, match="unknown action id 'a0'"):
         realize(spec)
 
 
