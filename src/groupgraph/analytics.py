@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .bits import iter_bits, lowest_bit
+from .bits import iter_bits, lowest_bit, mask_from_indices
 from .errors import BudgetExceeded, CriteriaDisagreement
 
 DEFAULT_SOLVER_BUDGET = 5_000_000
@@ -55,21 +55,8 @@ def degree_sequence(g) -> list[int]:
 
 def components(g) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by least vertex."""
-    unseen = (1 << g.n) - 1
-    out = []
-    while unseen:
-        start = lowest_bit(unseen)
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        unseen &= ~comp
-        out.append(list(iter_bits(comp)))
-    return out
+    return [list(iter_bits(comp))
+            for comp in _components_within(g.adj, (1 << g.n) - 1, False)]
 
 
 def is_connected(g) -> bool:
@@ -436,7 +423,7 @@ def graphs_isomorphic(g1, g2, budget: int = DEFAULT_ISO_BUDGET) -> bool:
             slot = {c: v for v, c in enumerate(colors2)}
             for v, c in enumerate(colors1):
                 mapping[v] = slot[c]
-            return _is_iso_map(g1, g2, mapping)
+            return is_induced_map(g1, g2, mapping)
         fresh = max(colors1) + 1
         v = classes[target_class][0]
         for w in range(g2.n):
@@ -455,14 +442,20 @@ def graphs_isomorphic(g1, g2, budget: int = DEFAULT_ISO_BUDGET) -> bool:
     return backtrack(degrees1, degrees2)
 
 
-def _is_iso_map(g1, g2, mapping) -> bool:
-    if sorted(mapping) != list(range(g1.n)):
+def is_induced_map(g1, g2, mapping) -> bool:
+    """Is ``mapping`` (vertex v of g1 -> vertex mapping[v] of g2) an
+    isomorphism of g1 onto the subgraph of g2 induced by its image? That
+    is: one image per vertex of g1, injective, in range, and v ~ w in g1
+    exactly when mapping[v] ~ mapping[w] in g2."""
+    if len(mapping) != g1.n or len(set(mapping)) != g1.n \
+            or not all(0 <= m < g2.n for m in mapping):
         return False
+    image = mask_from_indices(mapping)
     for v in range(g1.n):
-        image = 0
+        row = 0
         for w in iter_bits(g1.adj[v]):
-            image |= 1 << mapping[w]
-        if image != g2.adj[mapping[v]]:
+            row |= 1 << mapping[w]
+        if row != g2.adj[mapping[v]] & image:
             return False
     return True
 

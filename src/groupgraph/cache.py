@@ -20,7 +20,7 @@ from .lattice import Subgroup, SubgroupLattice, all_subgroups
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 
 def table_digest(group: FiniteGroup) -> str:
@@ -34,9 +34,6 @@ def lattice_to_text(lat: SubgroupLattice) -> str:
         hint = ",".join(str(i) for i in s.gen_hint) or "-"
         lines.append(f"sub {s.order} {s.mask:x} {hint}")
     lines.append("conj " + " ".join(str(c) for c in lat.conj_class_of))
-    for p in sorted(lat.sylow_index):
-        lines.append(f"sylow {p} " + ",".join(str(i) for i in lat.sylow_index[p]))
-    lines.append(f"frattini {lat.frattini_id}")
     body = "\n".join(lines)
     digest = hashlib.sha256(body.encode()).hexdigest()
     return body + f"\nchecksum {digest}\n"
@@ -57,8 +54,6 @@ def lattice_from_text(group: FiniteGroup, text: str) -> SubgroupLattice:
         raise CacheError("cache entry is for a different group")
     subgroups = []
     conj = None
-    sylow: dict[int, tuple[int, ...]] = {}
-    frattini = None
     for line in lines[2:]:
         kind, _, rest = line.partition(" ")
         if kind == "sub":
@@ -67,17 +62,11 @@ def lattice_from_text(group: FiniteGroup, text: str) -> SubgroupLattice:
             subgroups.append(Subgroup(int(mask_hex, 16), int(order_s), hint))
         elif kind == "conj":
             conj = [int(c) for c in rest.split()]
-        elif kind == "sylow":
-            p, ids = rest.split(" ", 1)
-            sylow[int(p)] = tuple(int(i) for i in ids.split(","))
-        elif kind == "frattini":
-            frattini = int(rest)
         else:
             raise CacheError(f"unknown record {kind!r}")
-    if conj is None or frattini is None or len(conj) != len(subgroups):
+    if conj is None or len(conj) != len(subgroups):
         raise CacheError("incomplete cache entry")
-    return SubgroupLattice(group, subgroups, conj, annotations={
-        "sylow_index": sylow, "frattini_id": frattini})
+    return SubgroupLattice(group, subgroups, conj)
 
 
 def cache_path(cache_dir: str | Path, group: FiniteGroup) -> Path:
@@ -93,7 +82,7 @@ def load_or_compute(group: FiniteGroup, cache_dir: str | Path | None = None,
     if path.exists():
         try:
             return lattice_from_text(group, path.read_text()), True
-        except (CacheError, ValueError, IndexError) as exc:
+        except (CacheError, ValueError, IndexError, KeyError) as exc:
             log.warning("discarding bad cache entry %s: %s", path, exc)
     lat = all_subgroups(group, **kwargs)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -45,4 +45,4 @@ class CriteriaDisagreement(GroupGraphError):
 
 
 class CacheError(GroupGraphError):
-    """A lattice cache entry failed validation."""
+    """A lattice cache entry failed validation, or a group has no cache key."""

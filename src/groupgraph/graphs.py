@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import perms
-from .bits import iter_bits, mask_from_indices
+from .analytics import is_induced_map
+from .bits import (bool_array_from_mask, iter_bits, mask_from_bool_array,
+                   mask_from_indices)
 from .errors import GroupGraphError, NotNormal
 from .groups import FiniteGroup, quotient_with_projection, subgroup_group
 from .lattice import SubgroupLattice, all_subgroups
@@ -132,13 +134,7 @@ def conjugation_vertex_map(lat: SubgroupLattice, g_elem: int) -> list[int]:
 
 def is_graph_automorphism(graph: SubgroupGraph, mapping: list[int]) -> bool:
     """Does a vertex permutation preserve adjacency (hence an automorphism)?"""
-    if sorted(mapping) != list(range(graph.n)):
-        return False
-    for i, row in enumerate(graph.adj):
-        for j in iter_bits(row):
-            if not graph.adj[mapping[i]] >> mapping[j] & 1:
-                return False
-    return True
+    return is_induced_map(graph, graph, mapping)
 
 
 @dataclass
@@ -148,46 +144,43 @@ class GraphEmbedding:
     source_lattice: SubgroupLattice
     source_graph: SubgroupGraph
     target_graph: SubgroupGraph
-    vertex_map: dict[int, int]      # source vertex position -> target position
+    vertex_map: list[int]  # source vertex position -> target position
 
     def is_induced_isomorphism(self) -> bool:
-        positions = list(self.vertex_map.values())
-        if len(set(positions)) != len(positions):
-            return False
-        for i in range(self.source_graph.n):
-            for j in range(i + 1, self.source_graph.n):
-                src = bool(self.source_graph.adj[i] >> j & 1)
-                tgt = bool(self.target_graph.adj[self.vertex_map[i]]
-                           >> self.vertex_map[j] & 1)
-                if src != tgt:
-                    return False
-        return True
+        return is_induced_map(self.source_graph, self.target_graph,
+                              self.vertex_map)
+
+
+def _embedding(lat: SubgroupLattice, source: FiniteGroup,
+               target: SubgroupGraph | None, image_of) -> GraphEmbedding:
+    """D(source) mapped into D(G) (``target``, built when None) by
+    ``image_of``, which takes a subgroup mask of the source to the mask of
+    its image subgroup in G."""
+    source_lat = all_subgroups(source)
+    source_graph = build_graph(source_lat, "difference")
+    if target is None:
+        target = build_graph(lat, "difference")
+    vertex_map = [
+        target.vertex_pos[lat.index_of[image_of(source_lat.mask_of(sid))]]
+        for sid in source_graph.vertices]
+    return GraphEmbedding(source, source_lat, source_graph, target, vertex_map)
 
 
 def quotient_embedding(lat: SubgroupLattice, normal_id: int,
                        target: SubgroupGraph | None = None) -> GraphEmbedding:
     """D(G/N) mapped onto the subgroups of G containing N, H/N -> H."""
-    group = lat.group
     if not lat.is_normal[normal_id]:
         raise NotNormal(f"subgroup {normal_id} is not normal")
     if normal_id in (lat.trivial_id, lat.full_id):
         raise NotNormal("quotient embedding needs a nontrivial proper subgroup")
     quotient, projection = quotient_with_projection(
-        group, lat.mask_of(normal_id))
-    qlat = all_subgroups(quotient)
-    qgraph = build_graph(qlat, "difference")
-    if target is None:
-        target = build_graph(lat, "difference")
-    mapping: dict[int, int] = {}
-    for pos, q_sid in enumerate(qgraph.vertices):
-        q_mask = qlat.mask_of(q_sid)
-        preimage = 0
-        for i in range(group.order):
-            if q_mask >> int(projection[i]) & 1:
-                preimage |= 1 << i
-        sid = lat.index_of[preimage]
-        mapping[pos] = target.vertex_pos[sid]
-    return GraphEmbedding(quotient, qlat, qgraph, target, mapping)
+        lat.group, lat.mask_of(normal_id))
+
+    def preimage(q_mask: int) -> int:
+        return mask_from_bool_array(
+            bool_array_from_mask(q_mask, quotient.order)[projection])
+
+    return _embedding(lat, quotient, target, preimage)
 
 
 def semidirect_embedding(lat: SubgroupLattice,
@@ -215,20 +208,15 @@ def semidirect_embedding(lat: SubgroupLattice,
         raise GroupGraphError("K is not a complement of H")
     k_group = subgroup_group(group, k_mask,
                              gen_hint=lat.subgroups[complement_id].gen_hint)
-    k_lat = all_subgroups(k_group)
-    k_graph = build_graph(k_lat, "difference")
-    if target is None:
-        target = build_graph(lat, "difference")
     h_idx = np.array(list(iter_bits(h_mask)), dtype=np.int64)
-    mapping: dict[int, int] = {}
-    for pos, k_sid in enumerate(k_graph.vertices):
+
+    def product_with_h(k1_mask: int) -> int:
         k1_parent_idx = [group.element_index[k_group.elements[i]]
-                         for i in iter_bits(k_lat.mask_of(k_sid))]
-        prod = np.unique(
-            group.mul[np.ix_(h_idx, np.array(k1_parent_idx, dtype=np.int64))])
-        sid = lat.index_of[mask_from_indices(prod)]
-        mapping[pos] = target.vertex_pos[sid]
-    return GraphEmbedding(k_group, k_lat, k_graph, target, mapping)
+                         for i in iter_bits(k1_mask)]
+        return mask_from_indices(np.unique(
+            group.mul[np.ix_(h_idx, np.array(k1_parent_idx, dtype=np.int64))]))
+
+    return _embedding(lat, k_group, target, product_with_h)
 
 
 # -- serialization -----------------------------------------------------------

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import perms
 from .bits import iter_bits, mask_from_bool_array, mask_from_indices
-from .errors import CapExceeded, GroupGraphError, NotNormal, RealizeError
+from .errors import (CacheError, CapExceeded, GroupGraphError, NotNormal,
+                     RealizeError)
 from .perms import Perm
 
 DEFAULT_ORDER_CAP = 20_000
@@ -260,11 +261,14 @@ class FiniteGroup:
                    for g in self.generator_indices())
 
     def table_bytes(self) -> bytes:
-        """Canonical byte encoding of the element table (cache key material)."""
+        """Canonical byte encoding of the element table (cache key material):
+        degree and order, then every point as a 16-bit little-endian number."""
+        if self.degree > 1 << 16:
+            raise CacheError(
+                f"cannot key a group of degree {self.degree}: the element "
+                "table encoding holds points below 65536 only")
         head = self.degree.to_bytes(4, "little") + self.order.to_bytes(4, "little")
-        body = b"".join(
-            bytes().join(int(i).to_bytes(2, "little") for i in p) for p in self.elements)
-        return head + body
+        return head + np.asarray(self.elements, dtype="<u2").tobytes()
 
 
 def is_abelian(group: FiniteGroup) -> bool:

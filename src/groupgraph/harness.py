@@ -32,14 +32,13 @@ from . import cache as cache_mod
 
 QUOTIENT_EMBED_MAX_INDEX = 24
 QUOTIENT_EMBED_MAX_COUNT = 12
+HOLE_SCAN_BUDGET = 2_000_000
 
 
 @dataclass
 class Budgets:
     clique: int = an.DEFAULT_SOLVER_BUDGET
     independence: int = an.DEFAULT_SOLVER_BUDGET
-    isomorphism: int = an.DEFAULT_ISO_BUDGET
-    hole_scan: int = 2_000_000
 
 
 @dataclass
@@ -48,17 +47,10 @@ class GroupBundle:
     group: FiniteGroup
     lattice: SubgroupLattice
     classification: GroupClassification
-    graphs: dict[str, SubgroupGraph]
+    difference: SubgroupGraph
+    star: SubgroupGraph
     report: an.AnalysisReport
     star_report: an.AnalysisReport
-
-    @property
-    def difference(self) -> SubgroupGraph:
-        return self.graphs["difference"]
-
-    @property
-    def star(self) -> SubgroupGraph:
-        return self.graphs["difference_star"]
 
 
 @dataclass
@@ -90,25 +82,34 @@ def build_bundle(label: str, spec: FiniteGroup | GroupSpec | str, *,
                  cache_dir: str | None = None,
                  allow_unverified: bool | None = None) -> GroupBundle:
     """Compute everything the checks consume for a group, realizing it
-    first when ``spec`` is a spec rather than a realized group."""
+    first when ``spec`` is a spec rather than a realized group. Only a
+    group realized here gets ``label`` prefixed to its ``spec_label``."""
     budgets = budgets or Budgets()
-    group = spec if isinstance(spec, FiniteGroup) else realize(spec)
-    group.spec_label = f"{label}={group.spec_label}" if label else group.spec_label
+    if isinstance(spec, FiniteGroup):
+        group = spec
+    else:
+        group = _labelled(label, realize(spec))
     lat, _ = cache_mod.load_or_compute(group, cache_dir)
     cls = classify(group, lat)
-    graphs = {kind: build_graph(lat, kind)
-              for kind in ("gamma", "delta", "difference")}
-    graphs["difference_star"] = star_reduction(graphs["difference"])
+    difference = build_graph(lat, "difference")
+    star = star_reduction(difference)
     if allow_unverified is None:
         allow_unverified = tier_of_order(group.order) == "long"
-    report = an.analyze(graphs["difference"], clique_budget=budgets.clique,
+    report = an.analyze(difference, clique_budget=budgets.clique,
                         indep_budget=budgets.independence,
                         allow_unverified=allow_unverified)
-    star_report = an.analyze(graphs["difference_star"],
-                             clique_budget=budgets.clique,
+    star_report = an.analyze(star, clique_budget=budgets.clique,
                              indep_budget=budgets.independence,
                              allow_unverified=allow_unverified)
-    return GroupBundle(label, group, lat, cls, graphs, report, star_report)
+    return GroupBundle(label, group, lat, cls, difference, star, report,
+                       star_report)
+
+
+def _labelled(label: str, group: FiniteGroup) -> FiniteGroup:
+    """Prefix ``label`` to the spec label of a group realized for it."""
+    if label:
+        group.spec_label = f"{label}={group.spec_label}"
+    return group
 
 
 # -- evaluator helpers --------------------------------------------------------
@@ -597,7 +598,7 @@ def _map_bundles(fn, corpus: Corpus, tier: str, budgets: Budgets | None,
     out = []
     for entry in corpus:
         try:
-            group = realize(entry.spec)
+            group = _labelled(entry.label, realize(entry.spec))
         except GroupGraphError as exc:
             raise RealizeError(f"{entry.label}: {exc}") from exc
         if tier_allows(tier, group.order):
@@ -651,7 +652,7 @@ class HuntFinding:
 HUNT_IDS = ("H-1", "H-2", "H-3", "H-4", "H-5")
 
 
-def _hunt_h1(bundles, budgets):
+def _hunt_h1(bundles):
     findings = []
     for b in bundles:
         if b.star.n == 0:
@@ -673,7 +674,7 @@ def _hunt_h1(bundles, budgets):
     return findings
 
 
-def _hunt_h2(bundles, budgets):
+def _hunt_h2(bundles):
     findings = []
     for b in bundles:
         p = b.classification.p_group
@@ -686,7 +687,7 @@ def _hunt_h2(bundles, budgets):
     return findings
 
 
-def _hunt_h3(bundles, budgets):
+def _hunt_h3(bundles):
     findings = []
     with_edges = [b for b in bundles if b.report.edge_count > 0]
     connected = [b.label for b in with_edges
@@ -707,8 +708,7 @@ def _hunt_h3(bundles, budgets):
                 continue
             b1, b2 = group_list[i], group_list[j]
             try:
-                iso = an.graphs_isomorphic(b1.difference, b2.difference,
-                                           budgets.isomorphism)
+                iso = an.graphs_isomorphic(b1.difference, b2.difference)
             except BudgetExceeded:
                 findings.append(HuntFinding(
                     "H-3", (b1.label, b2.label), "unverified",
@@ -743,14 +743,14 @@ def _hunt_h3(bundles, budgets):
     return findings
 
 
-def _hunt_h4(bundles, budgets):
+def _hunt_h4(bundles):
     findings = []
     for b in bundles:
         if b.report.edge_count == 0:
             continue
         try:
             hole = an.find_odd_hole_or_antihole(
-                b.difference, max_length=11, budget=budgets.hole_scan)
+                b.difference, max_length=11, budget=HOLE_SCAN_BUDGET)
         except BudgetExceeded:
             findings.append(HuntFinding(
                 "H-4", (b.label,), "unverified",
@@ -772,7 +772,7 @@ def _hunt_h4(bundles, budgets):
     return findings
 
 
-def _hunt_h5(bundles, budgets):
+def _hunt_h5(bundles):
     findings = []
     for b in bundles:
         if b.classification.solvable:
@@ -801,7 +801,6 @@ def hunt(target: str, corpus: Corpus, *, tier: str = "fast",
 
     ``threads`` is ignored; bundles are built one at a time.
     """
-    budgets = budgets or Budgets()
     targets = list(_HUNTS) if target == "all" else [target]
     for t in targets:
         if t not in _HUNTS:
@@ -810,7 +809,7 @@ def hunt(target: str, corpus: Corpus, *, tier: str = "fast",
                            cache_dir)
     findings = []
     for t in targets:
-        findings.extend(_HUNTS[t](bundles, budgets))
+        findings.extend(_HUNTS[t](bundles))
     return findings
 
 

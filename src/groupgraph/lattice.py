@@ -58,7 +58,7 @@ class SubgroupLattice:
     """All subgroups of a group, with inclusion and structural annotations."""
 
     def __init__(self, group: FiniteGroup, subgroups: list[Subgroup],
-                 conj_class_of: list[int], annotations: dict | None = None):
+                 conj_class_of: list[int]):
         self.group = group
         self.subgroups = subgroups
         self.index_of = {s.mask: i for i, s in enumerate(subgroups)}
@@ -78,36 +78,30 @@ class SubgroupLattice:
         self.is_maximal: list[bool] = []
         self.sylow_index: dict[int, tuple[int, ...]] = {}
         self.frattini_id: int = -1
-        self._annotate(annotations)
+        self._annotate()
 
     # -- construction ---------------------------------------------------
 
-    def _annotate(self, annotations: dict | None) -> None:
-        # inclusion is cheap and fully determined by the masks, so it is
-        # recomputed even on cache loads
+    def _annotate(self) -> None:
+        # every annotation is cheap and fully determined by the masks and
+        # the classes, so it is recomputed even on cache loads
         self._compute_inclusion()
+        self._compute_sylow()
         n = len(self.subgroups)
-        if annotations is not None:
-            self.sylow_index = {p: tuple(ids) for p, ids
-                                in annotations["sylow_index"].items()}
-            self.frattini_id = annotations["frattini_id"]
-        else:
-            self._compute_sylow()
         self.is_normal = [len(self.conj_classes[self.conj_class_of[i]]) == 1
                           for i in range(n)]
         full_bit = 1 << self.full_id
         self.is_maximal = [
             i != self.full_id and self.supersets[i] == (1 << i) | full_bit
             for i in range(n)]
-        if annotations is None:
-            maximal_ids = [i for i in range(n) if self.is_maximal[i]]
-            if maximal_ids:
-                frat = self.subgroups[self.full_id].mask
-                for i in maximal_ids:
-                    frat &= self.subgroups[i].mask
-                self.frattini_id = self.index_of[frat]
-            else:
-                self.frattini_id = self.full_id
+        maximal_ids = [i for i in range(n) if self.is_maximal[i]]
+        if maximal_ids:
+            frat = self.subgroups[self.full_id].mask
+            for i in maximal_ids:
+                frat &= self.subgroups[i].mask
+            self.frattini_id = self.index_of[frat]
+        else:
+            self.frattini_id = self.full_id
 
     def _compute_inclusion(self) -> None:
         n = len(self.subgroups)
@@ -145,9 +139,6 @@ class SubgroupLattice:
         """Smallest subgroup containing both; ids are order-sorted, so the
         lowest common superset id is the join."""
         return lowest_bit(self.supersets[h] & self.supersets[k])
-
-    def intersection(self, h: int, k: int) -> int:
-        return self.index_of[self.subgroups[h].mask & self.subgroups[k].mask]
 
     def product_size(self, h: int, k: int) -> int:
         meet = (self.subgroups[h].mask & self.subgroups[k].mask).bit_count()

@@ -74,3 +74,19 @@ def has_induced_odd_cycle(g, lengths=(5, 7, 9)) -> bool:
     Tries every subset, so only meant for graphs of at most 10 vertices."""
     return any(induces_cycle(g, subset) for k in lengths
                for subset in combinations(range(g.n), k))
+
+
+def is_induced_map_by_pairs(g1, g2, mapping) -> bool:
+    """Does ``mapping`` send g1 isomorphically onto the subgraph of g2
+    induced by its image? Asks every ordered pair of g1's vertices."""
+    if len(mapping) != g1.n or not all(0 <= m < g2.n for m in mapping):
+        return False
+    for v in range(g1.n):
+        for w in range(g1.n):
+            if v == w:
+                continue
+            if mapping[v] == mapping[w]:
+                return False
+            if (g1.adj[v] >> w & 1) != (g2.adj[mapping[v]] >> mapping[w] & 1):
+                return False
+    return True

@@ -11,10 +11,12 @@ from groupgraph.analytics import (INF, Graph, complement, components,
                                   graph_from_edges, graphs_isomorphic,
                                   independence_number, is_bipartite,
                                   is_clawfree, is_cograph, is_cycle,
-                                  max_clique, universal_vertices)
+                                  is_induced_map, max_clique,
+                                  universal_vertices)
 from groupgraph.errors import BudgetExceeded, CriteriaDisagreement
 from oracles import (complete_graph, cycle_graph, find_induced_p4,
-                     has_induced_odd_cycle, induces_cycle, path_graph)
+                     has_induced_odd_cycle, induces_cycle,
+                     is_induced_map_by_pairs, path_graph)
 
 
 def random_graph(n, p, seed):
@@ -273,8 +275,9 @@ def test_odd_hole_scan_finds_none_on_dih32(dgraph):
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(0, 10))
+def small_graphs(draw, max_n=10, n=None):
+    if n is None:
+        n = draw(st.integers(0, max_n))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
@@ -339,6 +342,59 @@ def test_isomorphism_budget():
     with pytest.raises(BudgetExceeded):
         graphs_isomorphic(g, h, budget=2)
     assert graphs_isomorphic(g, h)
+
+
+# -- induced maps ------------------------------------------------------------------
+
+@st.composite
+def induced_map_cases(draw):
+    """(g1, g2, mapping, kind): g1 has at most 8 vertices and g2 at least as
+    many. ``pullback`` maps g1 injectively onto the subgraph of g2 its
+    image induces; ``random`` is an injective map of a random g1;
+    ``repeat`` and ``range`` break injectivity or the range of a map."""
+    g2 = draw(small_graphs(max_n=12))
+    n1 = draw(st.integers(0, min(8, g2.n)))
+    mapping = draw(st.permutations(range(g2.n)))[:n1]
+    kind = draw(st.sampled_from(["pullback", "random", "repeat", "range"]))
+    if kind == "pullback":
+        g1 = graph_from_edges(n1, [
+            (v, w) for v, w in combinations(range(n1), 2)
+            if g2.adj[mapping[v]] >> mapping[w] & 1])
+    else:
+        g1 = draw(small_graphs(n=n1))
+    if kind == "repeat" and n1 >= 2:
+        i, j = draw(st.lists(st.integers(0, n1 - 1), min_size=2, max_size=2,
+                             unique=True))
+        mapping[j] = mapping[i]
+    elif kind == "range" and n1 >= 1:
+        mapping[draw(st.integers(0, n1 - 1))] = draw(
+            st.sampled_from([-1, g2.n, g2.n + 5]))
+    elif kind != "pullback":
+        kind = "random"  # too few vertices to break the map
+    return g1, g2, mapping, kind
+
+
+@settings(max_examples=400, deadline=None)
+@given(induced_map_cases())
+def test_is_induced_map_matches_all_pairs_oracle(case):
+    g1, g2, mapping, kind = case
+    found = is_induced_map(g1, g2, mapping)
+    assert found == is_induced_map_by_pairs(g1, g2, mapping)
+    if kind == "pullback":
+        assert found
+    if kind in ("repeat", "range"):
+        assert not found
+
+
+def test_is_induced_map_examples():
+    c5 = cycle_graph(5)
+    assert is_induced_map(c5, c5, [1, 2, 3, 4, 0])   # a rotation
+    assert not is_induced_map(c5, c5, [0, 2, 1, 3, 4])
+    # P3 sits induced in C5 on consecutive vertices, not on 0, 1, 3
+    assert is_induced_map(path_graph(3), c5, [0, 1, 2])
+    assert not is_induced_map(path_graph(3), c5, [0, 1, 3])
+    assert not is_induced_map(path_graph(3), c5, [0, 1])   # too short
+    assert is_induced_map(Graph(0, ()), c5, [])
 
 
 # -- analyze round-up -----------------------------------------------------------

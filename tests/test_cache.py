@@ -23,6 +23,7 @@ def test_roundtrip_is_bit_identical(tmp_path):
     assert lat2.is_maximal == lat.is_maximal
     assert lat2.conj_class_of == lat.conj_class_of
     assert lat2.frattini_id == lat.frattini_id
+    assert lat2.sylow_index == lat.sylow_index
 
 
 def test_cache_matches_fresh_computation(tmp_path):
@@ -43,6 +44,26 @@ def test_same_element_table_hits_across_presentations(tmp_path):
     load_or_compute(a, tmp_path)
     _, hit = load_or_compute(b, tmp_path)
     assert hit
+
+
+def test_table_digest_is_pinned():
+    # the digest names the cache files, so a change to the table encoding
+    # would silently orphan every existing entry
+    assert table_digest(realize("symmetric(3)")) == (
+        "cdafb8de994f33c80fda645e311c326e6276b3f6fde9fd74abcfa363455955a0")
+    assert table_digest(realize("psl2(7)")) == (
+        "b4657bdff3672140743e4a7381f22335808bcb111d1eac701f93aedf8dfb4884")
+
+
+def test_degree_beyond_16_bits_is_a_cache_error(tmp_path, capsys):
+    with pytest.raises(CacheError, match="degree 70001"):
+        table_digest(realize("raw((0 70000))"))
+    code = cli_main(["group", "raw((0 70000))", "--cache", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("groupgraph: error: cannot key a group of degree")
+    assert "Traceback" not in err
+    assert cli_main(["group", "raw((0 65535))", "--cache", str(tmp_path)]) == 0
 
 
 def test_different_groups_do_not_collide(tmp_path):
@@ -67,22 +88,49 @@ def test_corrupted_entry_is_recomputed(tmp_path, caplog):
 
 
 def test_version_1_entry_is_discarded_and_rewritten(tmp_path, caplog):
+    # version 2 entries carried sylow and frattini records; both versions
+    # are discarded the same way
+    for old_version in ("1", "2"):
+        g = realize("dihedral(4)")
+        load_or_compute(g, tmp_path)
+        path = cache_path(tmp_path, g)
+        body = path.read_text().rstrip("\n").rpartition("\n")[0]
+        body = body.replace(f"groupgraph-lattice-cache {FORMAT_VERSION}\n",
+                            f"groupgraph-lattice-cache {old_version}\n", 1)
+        path.write_text(
+            f"{body}\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            lat, hit = load_or_compute(g, tmp_path)
+        assert not hit
+        assert any("discarding" in rec.message and "version" in rec.message
+                   for rec in caplog.records)
+        assert path.read_text() == lattice_to_text(lat)
+        assert path.read_text().startswith(
+            f"groupgraph-lattice-cache {FORMAT_VERSION}\n")
+
+
+def test_entry_missing_its_frattini_subgroup_is_recomputed(tmp_path, caplog):
+    # the Frattini subgroup is derived on load; an entry that lacks it has
+    # a valid checksum but cannot be annotated
     g = realize("dihedral(4)")
-    load_or_compute(g, tmp_path)
+    lat, _ = load_or_compute(g, tmp_path)
     path = cache_path(tmp_path, g)
-    body = path.read_text().rstrip("\n").rpartition("\n")[0]
-    body = body.replace(f"groupgraph-lattice-cache {FORMAT_VERSION}\n",
-                        "groupgraph-lattice-cache 1\n", 1)
+    lines = path.read_text().splitlines()[:-1]
+    frattini_line = 2 + lat.frattini_id
+    labels: dict[int, int] = {}
+    conj = [labels.setdefault(c, len(labels)) for i, c
+            in enumerate(lat.conj_class_of) if i != lat.frattini_id]
+    lines = lines[:frattini_line] + lines[frattini_line + 1:-1] + \
+        ["conj " + " ".join(str(c) for c in conj)]
+    body = "\n".join(lines)
     path.write_text(
         f"{body}\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n")
     with caplog.at_level(logging.WARNING):
-        lat, hit = load_or_compute(g, tmp_path)
+        fresh, hit = load_or_compute(g, tmp_path)
     assert not hit
-    assert any("discarding" in rec.message and "version" in rec.message
-               for rec in caplog.records)
-    assert path.read_text() == lattice_to_text(lat)
-    assert path.read_text().startswith(
-        f"groupgraph-lattice-cache {FORMAT_VERSION}\n")
+    assert any("discarding" in rec.message for rec in caplog.records)
+    assert lattice_to_text(fresh) == lattice_to_text(lat)
 
 
 def test_dot_output_is_identical_cold_and_warm(tmp_path, capsys):

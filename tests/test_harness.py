@@ -7,6 +7,7 @@ from groupgraph import (REGISTRY, Budgets, build_bundle, hunt, load_corpus,
                         run_corpus, verify)
 from groupgraph.corpus import Corpus, parse_manifest
 from groupgraph.errors import RealizeError
+from groupgraph import harness
 from groupgraph.harness import _all_automorphisms, registry_table
 from groupgraph.specs import realize
 
@@ -91,6 +92,31 @@ def test_t22f_on_semidirect():
     assert verify(REGISTRY["T-2.2f"], bundle).status == "confirmed"
     bundle = build_bundle("s4", "symmetric(4)")
     assert verify(REGISTRY["T-2.2f"], bundle).status == "vacuous"
+
+
+def test_build_bundle_builds_only_the_difference_graph(monkeypatch):
+    kinds = []
+    real = harness.build_graph
+
+    def spy(lat, kind):
+        kinds.append(kind)
+        return real(lat, kind)
+
+    monkeypatch.setattr(harness, "build_graph", spy)
+    bundle = build_bundle("s4", "symmetric(4)")
+    assert kinds == ["difference"]
+    assert bundle.star.kind == "difference_star"
+    assert bundle.star.vertices == tuple(
+        bundle.difference.vertices[i] for i in range(bundle.difference.n)
+        if bundle.difference.adj[i])
+
+
+def test_build_bundle_leaves_a_passed_group_label_alone():
+    group = realize("cyclic(6)")
+    for _ in range(2):
+        build_bundle("c6", group)
+    assert group.spec_label == "cyclic(6)"
+    assert build_bundle("c6", "cyclic(6)").group.spec_label == "c6=cyclic(6)"
 
 
 def test_unverified_propagates_from_budget():
