@@ -6,7 +6,10 @@ neighbor bitsets): both SubgroupGraph and the plain Graph here qualify.
 The clique and independence solvers are exact branch-and-bound searches
 with greedy-coloring upper bounds and a node-expansion budget; when the
 budget runs out they raise BudgetExceeded instead of returning an
-approximation.
+approximation. ``analyze`` runs them only on the non-isolated vertices and
+counts the isolated ones, and ``reduced_report`` derives the report of the
+graph without its isolated vertices (D* from D) from the full graph's
+report instead of a second sweep.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .bits import iter_bits, lowest_bit, mask_from_indices
+import numpy as np
+
+from .bits import bool_rows, iter_bits, lowest_bit, rows_from_bool
 from .errors import BudgetExceeded, CriteriaDisagreement
 
 DEFAULT_SOLVER_BUDGET = 5_000_000
@@ -59,6 +64,16 @@ def components(g) -> list[list[int]]:
             for comp in _components_within(g.adj, (1 << g.n) - 1, False)]
 
 
+def without_isolated(g) -> tuple[list[int], list[int]]:
+    """g minus its isolated vertices: (kept vertices in ascending order,
+    their rows renumbered in that order). Reuses g's rows when no vertex
+    is isolated."""
+    keep = [v for v, row in enumerate(g.adj) if row]
+    if len(keep) == g.n:
+        return keep, list(g.adj)
+    return keep, rows_from_bool(bool_rows([g.adj[v] for v in keep], g.n)[:, keep])
+
+
 def is_connected(g) -> bool:
     return g.n <= 1 or len(components(g)) == 1
 
@@ -66,12 +81,18 @@ def is_connected(g) -> bool:
 def girth(g):
     """Length of a shortest cycle; math.inf for forests.
 
-    Per-root BFS; the candidate cycle through the root found at each
-    cross edge is exact at some root on a shortest cycle.
+    A triangle is an edge (i, j) whose rows share a neighbor, so that test
+    runs first on whole rows. Triangle-free graphs get a per-root BFS; the
+    candidate cycle through the root found at each cross edge is exact at
+    some root on a shortest cycle.
     """
+    for i, row in enumerate(g.adj):
+        for j in iter_bits(row >> (i + 1)):
+            if row & g.adj[i + 1 + j]:
+                return 3
     best = INF
     for root in range(g.n):
-        if best == 3:
+        if best == 4:
             break
         dist = {root: 0}
         frontier = [root]
@@ -446,18 +467,17 @@ def is_induced_map(g1, g2, mapping) -> bool:
     """Is ``mapping`` (vertex v of g1 -> vertex mapping[v] of g2) an
     isomorphism of g1 onto the subgraph of g2 induced by its image? That
     is: one image per vertex of g1, injective, in range, and v ~ w in g1
-    exactly when mapping[v] ~ mapping[w] in g2."""
+    exactly when mapping[v] ~ mapping[w] in g2.
+
+    Compares whole rows: g1's adjacency matrix against the image rows of
+    g2 restricted to the image columns. Only the image rows of g2 are
+    unpacked, so a small g1 costs little against a large g2."""
     if len(mapping) != g1.n or len(set(mapping)) != g1.n \
             or not all(0 <= m < g2.n for m in mapping):
         return False
-    image = mask_from_indices(mapping)
-    for v in range(g1.n):
-        row = 0
-        for w in iter_bits(g1.adj[v]):
-            row |= 1 << mapping[w]
-        if row != g2.adj[mapping[v]] & image:
-            return False
-    return True
+    image_rows = bool_rows([g2.adj[m] for m in mapping], g2.n)
+    columns = np.asarray(mapping, dtype=np.int64)
+    return bool((bool_rows(g1.adj, g1.n) == image_rows[:, columns]).all())
 
 
 # -- the report ----------------------------------------------------------------
@@ -506,27 +526,40 @@ class AnalysisReport:
 def analyze(g, *, clique_budget: int = DEFAULT_SOLVER_BUDGET,
             indep_budget: int = DEFAULT_SOLVER_BUDGET,
             allow_unverified: bool = False) -> AnalysisReport:
-    """Full invariant sweep of one graph."""
+    """Full invariant sweep of one graph.
+
+    The exact solvers see only the non-isolated vertices: an isolated
+    vertex lies in every maximum independent set and in no edge, so
+    alpha = isolated + alpha(rest) and omega = omega(rest), or 1 for an
+    edgeless graph with vertices and 0 for the empty graph. An edgeless
+    graph calls no solver.
+    """
     unverified: list[str] = []
-    omega: int | None = None
-    alpha: int | None = None
-    try:
-        omega = clique_number(g, clique_budget)
-    except BudgetExceeded:
-        if not allow_unverified:
-            raise
-        unverified.append("clique_number")
-    try:
-        alpha = independence_number(g, indep_budget)
-    except BudgetExceeded:
-        if not allow_unverified:
-            raise
-        unverified.append("independence_number")
+    _, rows = without_isolated(g)
+    rest = Graph(len(rows), tuple(rows))
+    isolated = g.n - rest.n
+    omega: int | None = min(g.n, 1)
+    alpha: int | None = isolated
+    if rest.n:
+        try:
+            omega = clique_number(rest, clique_budget)
+        except BudgetExceeded:
+            if not allow_unverified:
+                raise
+            omega = None
+            unverified.append("clique_number")
+        try:
+            alpha = isolated + independence_number(rest, indep_budget)
+        except BudgetExceeded:
+            if not allow_unverified:
+                raise
+            alpha = None
+            unverified.append("independence_number")
     cyc, cyc_len = is_cycle(g)
     report = AnalysisReport(
         vertex_count=g.n,
         edge_count=edge_count(g),
-        isolated_count=sum(1 for row in g.adj if row == 0),
+        isolated_count=isolated,
         component_count=len(components(g)),
         girth=girth(g),
         bipartite=is_bipartite(g),
@@ -542,6 +575,46 @@ def analyze(g, *, clique_budget: int = DEFAULT_SOLVER_BUDGET,
     )
     _check_report(report)
     return report
+
+
+def reduced_report(report: AnalysisReport, reduced) -> AnalysisReport:
+    """The report of ``reduced``, the graph that ``report`` describes with
+    its isolated vertices removed (D* of D), equal to ``analyze(reduced)``
+    under the same budgets without a second sweep.
+
+    Isolated vertices lie on no edge, cycle, claw or induced path, so the
+    edge count, girth, bipartiteness, claw-freeness, cograph test, clique
+    number and the non-trivial components carry over; alpha loses one per
+    isolated vertex. ``analyze`` ran its solvers on exactly ``reduced``, so
+    an unverified invariant stays unverified. Only the universal vertices
+    and the cycle test need ``reduced`` itself.
+    """
+    if reduced.n != report.vertex_count - report.isolated_count:
+        raise CriteriaDisagreement(
+            f"reduced graph has {reduced.n} vertices, expected "
+            f"{report.vertex_count} - {report.isolated_count} isolated")
+    alpha = report.independence_number
+    cyc, cyc_len = is_cycle(reduced)
+    out = AnalysisReport(
+        vertex_count=reduced.n,
+        edge_count=report.edge_count,
+        isolated_count=0,
+        component_count=report.component_count - report.isolated_count,
+        girth=report.girth,
+        bipartite=report.bipartite,
+        clique_number=report.clique_number if reduced.n else 0,
+        independence_number=None if alpha is None
+        else alpha - report.isolated_count,
+        clawfree=report.clawfree,
+        cograph=report.cograph,
+        universal_vertices=universal_vertices(reduced),
+        is_cycle=cyc,
+        cycle_length=cyc_len,
+        degree_sequence=report.degree_sequence[:reduced.n],
+        unverified=list(report.unverified),
+    )
+    _check_report(out)
+    return out
 
 
 def _check_report(r: AnalysisReport) -> None:

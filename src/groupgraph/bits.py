@@ -36,3 +36,17 @@ def lowest_bit(mask: int) -> int:
 def bool_array_from_mask(mask: int, size: int) -> np.ndarray:
     raw = np.frombuffer(mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[:size].astype(bool)
+
+
+def bool_rows(rows, size: int) -> np.ndarray:
+    """The bitsets ``rows`` as a (len(rows), size) bool matrix."""
+    nbytes = (size + 7) // 8
+    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                        dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :size].astype(bool)
+
+
+def rows_from_bool(matrix: np.ndarray) -> list[int]:
+    """The rows of a 2-d bool matrix as bitsets; inverse of ``bool_rows``."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import perms
-from .analytics import is_induced_map
+from .analytics import is_induced_map, without_isolated
 from .bits import (bool_array_from_mask, iter_bits, mask_from_bool_array,
                    mask_from_indices)
+from .cache import table_digest
 from .errors import GroupGraphError, NotNormal
 from .groups import FiniteGroup, quotient_with_projection, subgroup_group
 from .lattice import SubgroupLattice, all_subgroups
@@ -112,14 +113,7 @@ def star_reduction(graph: SubgroupGraph) -> SubgroupGraph:
     """Difference graph with isolated vertices removed."""
     if graph.kind != "difference":
         raise GroupGraphError("star reduction applies to the difference graph")
-    keep = [i for i, row in enumerate(graph.adj) if row]
-    remap = {old: new for new, old in enumerate(keep)}
-    adj = []
-    for old in keep:
-        row = 0
-        for j in iter_bits(graph.adj[old]):
-            row |= 1 << remap[j]
-        adj.append(row)
+    keep, adj = without_isolated(graph)
     return SubgroupGraph("difference_star", graph.lattice,
                          tuple(graph.vertices[i] for i in keep), adj)
 
@@ -152,12 +146,24 @@ class GraphEmbedding:
 
 
 def _embedding(lat: SubgroupLattice, source: FiniteGroup,
-               target: SubgroupGraph | None, image_of) -> GraphEmbedding:
+               target: SubgroupGraph | None, image_of,
+               memo: dict | None) -> GraphEmbedding:
     """D(source) mapped into D(G) (``target``, built when None) by
     ``image_of``, which takes a subgroup mask of the source to the mask of
-    its image subgroup in G."""
-    source_lat = all_subgroups(source)
-    source_graph = build_graph(source_lat, "difference")
+    its image subgroup in G.
+
+    ``memo`` maps ``table_digest`` of a source to its lattice and
+    difference graph. A source whose element table is already in it is
+    not enumerated again; the lattice then belongs to an earlier group with
+    the same table, whose subgroup masks are the same. The source itself is
+    still realized by the caller, never derived from G's lattice.
+    """
+    memo = {} if memo is None else memo
+    key = table_digest(source)
+    if key not in memo:
+        source_lat = all_subgroups(source)
+        memo[key] = source_lat, build_graph(source_lat, "difference")
+    source_lat, source_graph = memo[key]
     if target is None:
         target = build_graph(lat, "difference")
     vertex_map = [
@@ -167,7 +173,8 @@ def _embedding(lat: SubgroupLattice, source: FiniteGroup,
 
 
 def quotient_embedding(lat: SubgroupLattice, normal_id: int,
-                       target: SubgroupGraph | None = None) -> GraphEmbedding:
+                       target: SubgroupGraph | None = None,
+                       memo: dict | None = None) -> GraphEmbedding:
     """D(G/N) mapped onto the subgroups of G containing N, H/N -> H."""
     if not lat.is_normal[normal_id]:
         raise NotNormal(f"subgroup {normal_id} is not normal")
@@ -180,13 +187,14 @@ def quotient_embedding(lat: SubgroupLattice, normal_id: int,
         return mask_from_bool_array(
             bool_array_from_mask(q_mask, quotient.order)[projection])
 
-    return _embedding(lat, quotient, target, preimage)
+    return _embedding(lat, quotient, target, preimage, memo)
 
 
 def semidirect_embedding(lat: SubgroupLattice,
                          normal_id: int | None = None,
                          complement_id: int | None = None,
-                         target: SubgroupGraph | None = None) -> GraphEmbedding:
+                         target: SubgroupGraph | None = None,
+                         memo: dict | None = None) -> GraphEmbedding:
     """For G = H x| K, map D(K) into D(G) by K1 -> H K1.
 
     Defaults to the parts recorded by the semidirect constructor; explicit
@@ -216,7 +224,7 @@ def semidirect_embedding(lat: SubgroupLattice,
         return mask_from_indices(np.unique(
             group.mul[np.ix_(h_idx, np.array(k1_parent_idx, dtype=np.int64))]))
 
-    return _embedding(lat, k_group, target, product_with_h)
+    return _embedding(lat, k_group, target, product_with_h, memo)
 
 
 # -- serialization -----------------------------------------------------------

@@ -339,16 +339,16 @@ def quotient_with_projection(group: FiniteGroup, normal_mask: int,
     if not group.is_normal_mask(normal_mask):
         raise NotNormal("quotient modulus is not normal")
     reps = left_coset_reps(group, normal_mask)
-    rep_pos = {r: i for i, r in enumerate(reps)}
     mul = group.mul
     member_idx = np.array(list(iter_bits(normal_mask)), dtype=np.int64)
     coset_id = np.empty(group.order, dtype=np.int64)
     for pos, r in enumerate(reps):
         coset_id[mul[np.full(member_idx.shape, r), member_idx]] = pos
     k = len(reps)
+    rep_idx = np.array(reps, dtype=np.int64)
 
     def action(g: int) -> Perm:
-        return tuple(int(coset_id[mul[g, r]]) for r in reps)
+        return tuple(coset_id[mul[g, rep_idx]].tolist())
 
     gen_perms = [action(group.element_index[g]) for g in group.generators]
     quotient = FiniteGroup(
@@ -358,7 +358,7 @@ def quotient_with_projection(group: FiniteGroup, normal_mask: int,
     if quotient.order != expected:
         raise RealizeError(
             f"quotient order {quotient.order} != index {expected}")
-    projection = np.array(
-        [quotient.element_index[action(i)] for i in range(group.order)],
-        dtype=np.int64)
-    return quotient, projection
+    # N is normal, so the action of g depends only on its coset gN
+    rep_image = np.array([quotient.element_index[action(r)] for r in reps],
+                         dtype=np.int64)
+    return quotient, rep_image[coset_id]

@@ -17,6 +17,7 @@ from itertools import product
 import numpy as np
 
 from . import analytics as an
+from .bits import lowest_bit
 from .classify import GroupClassification, classify, is_abelian
 from .corpus import Corpus, tier_allows, tier_of_order
 from .errors import (ActionTableError, BudgetExceeded, GroupGraphError,
@@ -51,6 +52,10 @@ class GroupBundle:
     star: SubgroupGraph
     report: an.AnalysisReport
     star_report: an.AnalysisReport
+    # table digest -> (lattice, difference graph) of the quotients and
+    # complements that T-2.2f/T-2.2g embed; one dict per run, shared by
+    # the run's bundles
+    embedding_sources: dict = field(repr=False)
 
 
 @dataclass
@@ -80,10 +85,16 @@ class TheoremCheck:
 def build_bundle(label: str, spec: FiniteGroup | GroupSpec | str, *,
                  budgets: Budgets | None = None,
                  cache_dir: str | None = None,
-                 allow_unverified: bool | None = None) -> GroupBundle:
+                 allow_unverified: bool | None = None,
+                 embedding_sources: dict | None = None) -> GroupBundle:
     """Compute everything the checks consume for a group, realizing it
     first when ``spec`` is a spec rather than a realized group. Only a
-    group realized here gets ``label`` prefixed to its ``spec_label``."""
+    group realized here gets ``label`` prefixed to its ``spec_label``.
+
+    ``embedding_sources`` is the memo of embedded source lattices that
+    the bundle's checks read and fill (see ``graphs._embedding``); a
+    bundle built without one gets its own. ``analyze`` runs once, on D;
+    the D* report is derived from it."""
     budgets = budgets or Budgets()
     if isinstance(spec, FiniteGroup):
         group = spec
@@ -98,11 +109,9 @@ def build_bundle(label: str, spec: FiniteGroup | GroupSpec | str, *,
     report = an.analyze(difference, clique_budget=budgets.clique,
                         indep_budget=budgets.independence,
                         allow_unverified=allow_unverified)
-    star_report = an.analyze(star, clique_budget=budgets.clique,
-                             indep_budget=budgets.independence,
-                             allow_unverified=allow_unverified)
     return GroupBundle(label, group, lat, cls, difference, star, report,
-                       star_report)
+                       an.reduced_report(report, star),
+                       {} if embedding_sources is None else embedding_sources)
 
 
 def _labelled(label: str, group: FiniteGroup) -> FiniteGroup:
@@ -187,7 +196,8 @@ def _t_22f(bundle):
     if bundle.group.semidirect_normal_mask is None:
         return _verdict("T-2.2f", bundle, "vacuous",
                         note="not realized as a semidirect product")
-    emb = semidirect_embedding(bundle.lattice, target=bundle.difference)
+    emb = semidirect_embedding(bundle.lattice, target=bundle.difference,
+                               memo=bundle.embedding_sources)
     if emb.source_graph.n == 0:
         return _verdict("T-2.2f", bundle, "vacuous",
                         note="complement has no nontrivial proper subgroups")
@@ -205,8 +215,9 @@ def _t_22g(bundle):
     if not candidates:
         return _verdict("T-2.2g", bundle, "vacuous")
     bad = [sid for sid in candidates
-           if not quotient_embedding(lat, sid,
-                                     target=bundle.difference).is_induced_isomorphism()]
+           if not quotient_embedding(
+               lat, sid, target=bundle.difference,
+               memo=bundle.embedding_sources).is_induced_isomorphism()]
     note = f"checked {len(candidates)} normal subgroup(s) with index <= " \
            f"{QUOTIENT_EMBED_MAX_INDEX}"
     return _implication("T-2.2g", bundle, vacuous=False,
@@ -214,14 +225,23 @@ def _t_22g(bundle):
 
 
 def _conjugate_edge_split(bundle):
+    """The first edge (i, j), i < j, in ``edges()`` order between conjugate
+    vertices and the first between non-conjugate ones (None when absent),
+    read off each row against its vertex's conjugacy-class bitset. The
+    first row with such a neighbor has none below itself (that neighbor's
+    row would come first), so its lowest one is j."""
     lat, d = bundle.lattice, bundle.difference
+    classes = [lat.conj_class_of[sid] for sid in d.vertices]
+    class_rows: dict[int, int] = {}
+    for pos, c in enumerate(classes):
+        class_rows[c] = class_rows.get(c, 0) | 1 << pos
     conj_edge = nonconj_edge = None
-    for i, j in d.edges():
-        same = lat.conj_class_of[d.vertices[i]] == lat.conj_class_of[d.vertices[j]]
+    for i, row in enumerate(d.adj):
+        same = row & class_rows[classes[i]]
         if same and conj_edge is None:
-            conj_edge = (i, j)
-        if not same and nonconj_edge is None:
-            nonconj_edge = (i, j)
+            conj_edge = (i, lowest_bit(same))
+        if row & ~same and nonconj_edge is None:
+            nonconj_edge = (i, lowest_bit(row & ~same))
         if conj_edge and nonconj_edge:
             break
     return conj_edge, nonconj_edge
@@ -591,11 +611,15 @@ def _map_bundles(fn, corpus: Corpus, tier: str, budgets: Budgets | None,
     is no pool: bundle work is Python that holds the interpreter lock, so
     threads only add waiting.
     Each entry is realized once, and ``build_bundle`` gets the realized
-    group. Invariants whose exact solver runs out of budget come back as
-    None, which the checks and hunts report as unverified. A spec that
-    cannot be realized raises RealizeError naming its label.
+    group. One memo of embedded source lattices serves every bundle of
+    the call, so a quotient or complement table that several groups share
+    is enumerated once per call. Invariants whose exact solver runs out of
+    budget come back as None, which the checks and hunts report as
+    unverified. A spec that cannot be realized raises RealizeError naming
+    its label.
     """
     out = []
+    embedding_sources: dict = {}
     for entry in corpus:
         try:
             group = _labelled(entry.label, realize(entry.spec))
@@ -604,7 +628,8 @@ def _map_bundles(fn, corpus: Corpus, tier: str, budgets: Budgets | None,
         if tier_allows(tier, group.order):
             out.append(fn(build_bundle(entry.label, group, budgets=budgets,
                                        cache_dir=cache_dir,
-                                       allow_unverified=True)))
+                                       allow_unverified=True,
+                                       embedding_sources=embedding_sources)))
     return out
 
 

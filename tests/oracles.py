@@ -90,3 +90,29 @@ def is_induced_map_by_pairs(g1, g2, mapping) -> bool:
             if (g1.adj[v] >> w & 1) != (g2.adj[mapping[v]] >> mapping[w] & 1):
                 return False
     return True
+
+
+def networkx_invariants(g) -> dict:
+    """Girth, component count, isolated count, clique and independence
+    numbers of a bitset graph, computed by networkx."""
+    import networkx as nx
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((i, j) for i in range(g.n)
+                     for j in iter_bits(g.adj[i]) if j > i)
+
+    def omega(graph):
+        return nx.max_weight_clique(graph, weight=None)[1] if g.n else 0
+
+    return {"girth": nx.girth(h),
+            "component_count": nx.number_connected_components(h),
+            "isolated_count": nx.number_of_isolates(h),
+            "clique_number": omega(h),
+            "independence_number": omega(nx.complement(h))}
+
+
+def report_invariants(report) -> dict:
+    """The fields of an AnalysisReport that ``networkx_invariants`` gives."""
+    return {key: getattr(report, key) for key in (
+        "girth", "component_count", "isolated_count", "clique_number",
+        "independence_number")}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupgraph import analytics as an
+from groupgraph.bits import iter_bits
 from groupgraph.analytics import (INF, Graph, complement, components,
                                   find_claw, find_odd_hole_or_antihole, girth,
                                   graph_from_edges, graphs_isomorphic,
@@ -16,7 +17,8 @@ from groupgraph.analytics import (INF, Graph, complement, components,
 from groupgraph.errors import BudgetExceeded, CriteriaDisagreement
 from oracles import (complete_graph, cycle_graph, find_induced_p4,
                      has_induced_odd_cycle, induces_cycle,
-                     is_induced_map_by_pairs, path_graph)
+                     is_induced_map_by_pairs, networkx_invariants,
+                     path_graph, report_invariants)
 
 
 def random_graph(n, p, seed):
@@ -443,3 +445,108 @@ def test_inconsistent_report_raises():
     report.clique_number = 1   # one edge or more means a clique of two
     with pytest.raises(CriteriaDisagreement, match="clique number 1"):
         an._check_report(report)
+
+
+# -- the reduced report and the solvers on the non-isolated part ---------------
+
+@st.composite
+def graphs_with_isolated(draw):
+    """Small graphs with isolated vertices mixed in: edgeless and empty
+    graphs included."""
+    core = draw(small_graphs(max_n=9))
+    extra = draw(st.integers(0, 4))
+    n = core.n + extra
+    order = draw(st.permutations(range(n)))
+    edges = [(order[i], order[j]) for i in range(core.n)
+             for j in iter_bits(core.adj[i]) if j > i]
+    return graph_from_edges(n, edges)
+
+
+def reduced_graph(g):
+    _, rows = an.without_isolated(g)
+    return Graph(len(rows), tuple(rows))
+
+
+BUDGETS = st.sampled_from([1, 2, 5, an.DEFAULT_SOLVER_BUDGET])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_isolated(), BUDGETS, BUDGETS)
+def test_reduced_report_equals_a_direct_sweep(g, clique_budget, indep_budget):
+    budgets = dict(clique_budget=clique_budget, indep_budget=indep_budget,
+                   allow_unverified=True)
+    reduced = reduced_graph(g)
+    assert an.reduced_report(an.analyze(g, **budgets), reduced) \
+        == an.analyze(reduced, **budgets)
+
+
+def test_reduced_report_keeps_unverified():
+    g = disjoint_union(cycle_graph(7), Graph(3, (0, 0, 0)))
+    report = an.analyze(g, clique_budget=1, indep_budget=1,
+                        allow_unverified=True)
+    assert report.unverified == ["clique_number", "independence_number"]
+    derived = an.reduced_report(report, reduced_graph(g))
+    assert derived.unverified == report.unverified
+    assert derived.clique_number is None and derived.independence_number is None
+
+
+def test_reduced_report_of_edgeless_and_empty_graphs():
+    for n in (0, 1, 4):
+        g = Graph(n, (0,) * n)
+        report = an.analyze(g)
+        assert (report.clique_number, report.independence_number) \
+            == (min(n, 1), n)
+        derived = an.reduced_report(report, Graph(0, ()))
+        assert derived == an.analyze(Graph(0, ()))
+        assert derived.clique_number == derived.independence_number == 0
+
+
+def test_reduced_report_rejects_a_graph_of_the_wrong_size():
+    report = an.analyze(disjoint_union(cycle_graph(5), Graph(1, (0,))))
+    with pytest.raises(CriteriaDisagreement):
+        an.reduced_report(report, cycle_graph(6))
+
+
+def test_edgeless_graph_calls_no_solver(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("solver called")
+
+    monkeypatch.setattr(an, "clique_number", fail)
+    monkeypatch.setattr(an, "independence_number", fail)
+    report = an.analyze(Graph(2823, (0,) * 2823))
+    assert (report.clique_number, report.independence_number) == (1, 2823)
+
+
+def test_solvers_see_only_the_non_isolated_vertices(monkeypatch):
+    seen = []
+    real = an.independence_number
+
+    def spy(g, budget=an.DEFAULT_SOLVER_BUDGET):
+        seen.append(g.n)
+        return real(g, budget)
+
+    monkeypatch.setattr(an, "independence_number", spy)
+    report = an.analyze(disjoint_union(cycle_graph(5), Graph(4, (0,) * 4)))
+    assert seen == [5]
+    assert report.independence_number == 2 + 4
+
+
+def test_girth_finds_a_triangle_before_any_search():
+    # K4 plus a pendant path: the first edge with a common neighbor is 0-1
+    g = graph_from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                             (3, 4), (4, 5)])
+    assert girth(g) == 3
+    assert girth(cycle_graph(4)) == 4
+    assert girth(disjoint_union(cycle_graph(6), cycle_graph(5))) == 5
+
+
+# -- networkx as an independent oracle -------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_isolated())
+def test_analyze_matches_networkx(g):
+    reduced = reduced_graph(g)
+    report = an.analyze(g)
+    assert report_invariants(report) == networkx_invariants(g)
+    assert report_invariants(an.reduced_report(report, reduced)) \
+        == networkx_invariants(reduced)

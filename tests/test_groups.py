@@ -156,3 +156,45 @@ def test_subgroup_group_materializes():
     sub = subgroup_group(s4, a4)
     assert sub.order == 12
     assert stabilizer_chain_order(sub.generators) == 12
+
+
+def _per_element_projection(g, q, normal_mask):
+    """The quotient index of every element's own action on the cosets."""
+    from groupgraph.groups import left_coset_reps
+    reps = left_coset_reps(g, normal_mask)
+    members = [j for j in range(g.order) if normal_mask >> j & 1]
+    coset_of = {int(g.mul[r, m]): pos for pos, r in enumerate(reps)
+                for m in members}
+    return [q.element_index[tuple(coset_of[int(g.mul[i, r])] for r in reps)]
+            for i in range(g.order)]
+
+
+def _normal_subgroup_cases():
+    from groupgraph.lattice import all_subgroups
+    from groupgraph.perms import cycles, perm_order
+    s4 = realize("symmetric(4)")
+    v4 = _subgroup_mask(
+        s4, lambda p: perm_order(p) == 1
+        or (perm_order(p) == 2 and len(cycles(p)) == 2))
+    yield "symmetric(4)/V4", s4, v4
+    q8 = realize("dicyclic(2)")
+    centre = 0
+    for i in range(q8.order):
+        if all(q8.mul[i, j] == q8.mul[j, i] for j in range(q8.order)):
+            centre |= 1 << i
+    assert centre.bit_count() == 2
+    yield "dicyclic(2)/Z", q8, centre
+    g = realize("direct(dihedral(4), cyclic(3))")
+    lat = all_subgroups(g)
+    for sid in lat.nontrivial_proper_ids():
+        if lat.is_normal[sid]:
+            yield f"d4xz3/{sid}", g, lat.mask_of(sid)
+
+
+def test_quotient_projection_equals_per_element_action():
+    cases = list(_normal_subgroup_cases())
+    assert len(cases) > 3
+    for name, g, normal_mask in cases:
+        q, proj = quotient_with_projection(g, normal_mask)
+        assert proj.tolist() == _per_element_projection(g, q, normal_mask), name
+        assert q.order == g.order // normal_mask.bit_count(), name

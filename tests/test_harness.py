@@ -7,9 +7,12 @@ from groupgraph import (REGISTRY, Budgets, build_bundle, hunt, load_corpus,
                         run_corpus, verify)
 from groupgraph.corpus import Corpus, parse_manifest
 from groupgraph.errors import RealizeError
-from groupgraph import harness
-from groupgraph.harness import _all_automorphisms, registry_table
+from groupgraph import analytics as an
+from groupgraph import cache, graphs, harness
+from groupgraph.harness import (_all_automorphisms, _conjugate_edge_split,
+                                registry_table)
 from groupgraph.specs import realize
+from oracles import networkx_invariants, report_invariants
 
 MINI_MANIFEST = """
 # tiny corpus for harness tests
@@ -117,6 +120,92 @@ def test_build_bundle_leaves_a_passed_group_label_alone():
         build_bundle("c6", group)
     assert group.spec_label == "cyclic(6)"
     assert build_bundle("c6", "cyclic(6)").group.spec_label == "c6=cyclic(6)"
+
+
+@pytest.fixture(scope="module")
+def mini_bundles(mini_corpus):
+    return [build_bundle(e.label, e.spec) for e in mini_corpus]
+
+
+def test_derived_star_report_equals_a_direct_sweep(mini_bundles):
+    for b in mini_bundles:
+        assert b.star_report == an.analyze(b.star), b.label
+
+
+def test_derived_star_report_carries_unverified_over():
+    b = build_bundle("psl2_7", "psl2(7)", budgets=Budgets(independence=2),
+                     allow_unverified=True)
+    assert b.star_report.unverified == ["independence_number"]
+    assert b.star_report == an.analyze(b.star, indep_budget=2,
+                                       allow_unverified=True)
+
+
+def test_reports_match_networkx(mini_bundles):
+    for b in mini_bundles:
+        assert report_invariants(b.report) \
+            == networkx_invariants(b.difference), b.label
+        assert report_invariants(b.star_report) \
+            == networkx_invariants(b.star), b.label
+
+
+def test_star_reduction_reuses_rows_without_isolated_vertices():
+    b = build_bundle("psl2_7", "psl2(7)")
+    assert b.report.isolated_count == 0
+    assert b.star.vertices == b.difference.vertices
+    assert all(s is d for s, d in zip(b.star.adj, b.difference.adj))
+
+
+def edge_split_by_edge_list(bundle):
+    lat, d = bundle.lattice, bundle.difference
+    split = [None, None]
+    for i, j in d.edges():
+        same = lat.conj_class_of[d.vertices[i]] \
+            == lat.conj_class_of[d.vertices[j]]
+        key = 0 if same else 1
+        if split[key] is None:
+            split[key] = (i, j)
+    return tuple(split)
+
+
+@pytest.mark.parametrize("spec,expected", [
+    ("psl2(7)", ((21, 28), (0, 23))),
+    ("symmetric(4)", ((13, 14), (0, 10))),
+])
+def test_conjugate_edge_split_witnesses(spec, expected):
+    bundle = build_bundle("g", spec)
+    assert _conjugate_edge_split(bundle) == expected
+    assert edge_split_by_edge_list(bundle) == expected
+
+
+def test_conjugate_edge_split_matches_the_edge_list(mini_bundles):
+    for b in mini_bundles:
+        assert _conjugate_edge_split(b) == edge_split_by_edge_list(b), b.label
+
+
+def test_run_corpus_enumerates_each_source_table_once(mini_corpus,
+                                                      monkeypatch):
+    seen = []
+    real = graphs.all_subgroups
+
+    def spy(group, *args, **kwargs):
+        seen.append(cache.table_digest(group))
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(graphs, "all_subgroups", spy)
+    first = run_corpus(mini_corpus, tier="fast")
+    first_seen, seen[:] = list(seen), []
+    second = run_corpus(mini_corpus, tier="fast")
+    assert first_seen and len(set(first_seen)) == len(first_seen)
+    # the memo lasts one run: the next run enumerates every table again
+    assert seen == first_seen
+    assert first.to_json_dict() == second.to_json_dict()
+
+
+def test_bundles_built_alone_share_no_memo():
+    a = build_bundle("s4", "symmetric(4)")
+    b = build_bundle("s4", "symmetric(4)")
+    assert verify(REGISTRY["T-2.2g"], a).status == "confirmed"
+    assert a.embedding_sources and not b.embedding_sources
 
 
 def test_unverified_propagates_from_budget():
