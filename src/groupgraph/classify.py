@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import iter_bits
+from .bits import bool_array_from_mask, iter_bits
 from .errors import CriteriaDisagreement, GroupGraphError
-from .groups import FiniteGroup, is_abelian, quotient_group, subgroup_group
+from .groups import FiniteGroup, is_abelian
 from .lattice import SubgroupLattice
 from .primes import factorize, is_prime
 
@@ -144,16 +144,35 @@ def _prime_chain_to_full(lat: SubgroupLattice) -> list[int] | None:
 
 
 def _verify_cyclic_factors(lat: SubgroupLattice, chain: list[int]) -> None:
-    """Check each factor of a normal chain is cyclic, via actual quotients."""
+    """Check each factor above/below of a chain is cyclic, on G's tables.
+
+    ``below`` must lie in ``above``, be normalized by ``above``'s
+    generators, and some element of ``above`` outside it must have order
+    exactly the index |above : below| modulo ``below``.
+    """
     group = lat.group
     for below, above in zip(chain, chain[1:]):
-        sub = subgroup_group(group, lat.mask_of(above),
-                             gen_hint=lat.subgroups[above].gen_hint)
-        inner_mask = 0
-        for i in iter_bits(lat.mask_of(below)):
-            inner_mask |= 1 << sub.element_index[group.elements[i]]
-        quotient = quotient_group(sub, inner_mask)
-        if int(quotient.element_orders.max()) != quotient.order:
+        below_mask, above_mask = lat.mask_of(below), lat.mask_of(above)
+        index, rest = divmod(lat.order_of(above), lat.order_of(below))
+        if below_mask & ~above_mask or rest:
+            raise GroupGraphError(
+                "normal chain step is not a subgroup of the next one; "
+                "chain search is broken")
+        in_below = bool_array_from_mask(below_mask, group.order)
+        hint = list(lat.subgroups[above].gen_hint)
+        if not in_below[group.conj[np.ix_(hint, np.flatnonzero(in_below))]].all():
+            raise GroupGraphError(
+                "normal chain step is not normal in the next one; "
+                "chain search is broken")
+        outside = np.flatnonzero(
+            bool_array_from_mask(above_mask & ~below_mask, group.order))
+        power = outside
+        # an element's order modulo below is its least k with x^k in below
+        reached = np.zeros(outside.size, dtype=bool)
+        for _ in range(index - 1):
+            reached |= in_below[power]
+            power = group.mul[power, outside]
+        if not (in_below[power] & ~reached).any():
             raise GroupGraphError(
                 "normal chain factor is not cyclic; chain search is broken")
 

@@ -12,7 +12,8 @@ from functools import cached_property
 import numpy as np
 
 from . import perms
-from .bits import iter_bits, mask_from_bool_array, mask_from_indices
+from .bits import (bool_array_from_mask, iter_bits, mask_from_bool_array,
+                   mask_from_indices)
 from .errors import (CacheError, CapExceeded, GroupGraphError, NotNormal,
                      RealizeError)
 from .perms import Perm
@@ -249,16 +250,16 @@ class FiniteGroup:
         return self.closure_mask(idx, idx)
 
     def is_subgroup_mask(self, mask: int) -> bool:
-        idx = list(iter_bits(mask))
-        if not idx or idx[0] != 0:
-            return False
-        sub = set(idx)
-        mul = self.mul
-        return all(int(v) in sub for v in mul[np.ix_(idx, idx)].ravel())
+        """Is the bitset a subgroup: holds the identity, closed under products."""
+        member = bool_array_from_mask(mask, self.order)
+        idx = np.flatnonzero(member)
+        return bool(mask & 1) and bool(member[self.mul[np.ix_(idx, idx)]].all())
 
     def is_normal_mask(self, mask: int) -> bool:
-        return all(self.conjugate_mask(mask, g) == mask
-                   for g in self.generator_indices())
+        """Does conjugation by every generator map the bitset into itself?"""
+        member = bool_array_from_mask(mask, self.order)
+        conj = self.conj[np.ix_(self.generator_indices(), np.flatnonzero(member))]
+        return bool(member[conj].all())
 
     def table_bytes(self) -> bytes:
         """Canonical byte encoding of the element table (cache key material):
@@ -303,20 +304,6 @@ def _shrink_generators(parent: FiniteGroup, member_idx) -> list[Perm]:
     return [parent.elements[i] for i in chosen] or [parent.elements[0]]
 
 
-def left_coset_reps(group: FiniteGroup, mask: int) -> list[int]:
-    """Minimal-index representative for each left coset x·N, in index order."""
-    member_idx = np.array(list(iter_bits(mask)), dtype=np.int64)
-    mul = group.mul
-    seen = np.zeros(group.order, dtype=bool)
-    reps = []
-    for x in range(group.order):
-        if not seen[x]:
-            coset = mul[np.full(member_idx.shape, x), member_idx]
-            seen[coset] = True
-            reps.append(x)
-    return reps
-
-
 def quotient_group(group: FiniteGroup, normal_mask: int,
                    label: str = "") -> FiniteGroup:
     """The action of the group on left cosets of a normal subgroup.
@@ -331,34 +318,28 @@ def quotient_with_projection(group: FiniteGroup, normal_mask: int,
                              label: str = "") -> tuple[FiniteGroup, np.ndarray]:
     """Quotient plus the element-level projection map G -> G/N.
 
-    projection[i] is the index, in the quotient's element table, of the image
-    of group element i.
+    Cosets x·N are numbered by their least element index, in index order.
+    Coset r's representative acts on the cosets as row r of
+    ``coset_id[mul[reps, reps]]``; that row sends coset 0 (N itself) to
+    coset r, so the rows are distinct, already sorted, and are the
+    quotient's element table. The projection is therefore ``coset_id``.
     """
     if not group.is_subgroup_mask(normal_mask):
         raise NotNormal("quotient modulus is not a subgroup")
     if not group.is_normal_mask(normal_mask):
         raise NotNormal("quotient modulus is not normal")
-    reps = left_coset_reps(group, normal_mask)
     mul = group.mul
-    member_idx = np.array(list(iter_bits(normal_mask)), dtype=np.int64)
-    coset_id = np.empty(group.order, dtype=np.int64)
-    for pos, r in enumerate(reps):
-        coset_id[mul[np.full(member_idx.shape, r), member_idx]] = pos
-    k = len(reps)
-    rep_idx = np.array(reps, dtype=np.int64)
-
-    def action(g: int) -> Perm:
-        return tuple(coset_id[mul[g, rep_idx]].tolist())
-
-    gen_perms = [action(group.element_index[g]) for g in group.generators]
+    members = np.flatnonzero(bool_array_from_mask(normal_mask, group.order))
+    # x·N is named by its least element
+    least = mul[:, members].min(axis=1)
+    reps = np.unique(least)
+    coset_id = np.searchsorted(reps, least)
+    expected = group.order // members.size
+    if reps.size != expected:
+        raise RealizeError(f"quotient order {reps.size} != index {expected}")
+    rows = [tuple(r) for r in coset_id[mul[reps[:, None], reps]].tolist()]
     quotient = FiniteGroup(
-        gen_perms or [perms.identity(k)],
-        spec_label=label or f"{group.spec_label}/N[{len(member_idx)}]")
-    expected = group.order // int(member_idx.size)
-    if quotient.order != expected:
-        raise RealizeError(
-            f"quotient order {quotient.order} != index {expected}")
-    # N is normal, so the action of g depends only on its coset gN
-    rep_image = np.array([quotient.element_index[action(r)] for r in reps],
-                         dtype=np.int64)
-    return quotient, rep_image[coset_id]
+        [rows[coset_id[g]] for g in group.generator_indices()],
+        spec_label=label or f"{group.spec_label}/N[{members.size}]",
+        elements=rows)
+    return quotient, coset_id

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
-from groupgraph import all_subgroups, build_graph, realize
+from groupgraph import (all_subgroups, build_graph, load_corpus, realize,
+                        run_corpus)
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +33,24 @@ def dgraph(make):
         return store[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    return load_corpus()
+
+
+@pytest.fixture(scope="session")
+def shared_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("lattice-cache"))
+
+
+@pytest.fixture(scope="session")
+def fast_report(corpus, shared_cache):
+    """The fast-tier report; it leaves every fast-tier lattice in
+    ``shared_cache``."""
+    start = time.perf_counter()
+    report = run_corpus(corpus, tier="fast", threads=1,
+                        cache_dir=shared_cache)
+    report.elapsed = time.perf_counter() - start
+    return report

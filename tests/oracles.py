@@ -3,8 +3,11 @@
 from itertools import combinations
 from math import log2
 
+import numpy as np
+
 from groupgraph.analytics import Graph, graph_from_edges
 from groupgraph.bits import iter_bits, lowest_bit
+from groupgraph.groups import FiniteGroup, enumerate_elements
 
 
 def brute_force_subgroup_masks(group, max_generators=None) -> set[int]:
@@ -22,6 +25,59 @@ def brute_force_subgroup_masks(group, max_generators=None) -> set[int]:
         for combo in combinations(nonidentity, size):
             masks.add(group.subgroup_generated(combo))
     return masks
+
+
+def left_coset_reps(group, mask: int) -> list[int]:
+    """Minimal-index representative for each left coset x·N, in index order."""
+    member_idx = np.array(list(iter_bits(mask)), dtype=np.int64)
+    mul = group.mul
+    seen = np.zeros(group.order, dtype=bool)
+    reps = []
+    for x in range(group.order):
+        if not seen[x]:
+            coset = mul[np.full(member_idx.shape, x), member_idx]
+            seen[coset] = True
+            reps.append(x)
+    return reps
+
+
+def bfs_quotient(group, normal_mask: int) -> FiniteGroup:
+    """G/N as the permutation group that G's generators induce on the left
+    cosets of N, its elements found by breadth-first closure. The caller
+    checks that N is normal."""
+    reps = left_coset_reps(group, normal_mask)
+    mul = group.mul
+    members = np.array(list(iter_bits(normal_mask)), dtype=np.int64)
+    coset_id = np.empty(group.order, dtype=np.int64)
+    for pos, r in enumerate(reps):
+        coset_id[mul[np.full(members.shape, r), members]] = pos
+    rep_idx = np.array(reps, dtype=np.int64)
+    gens = [tuple(coset_id[mul[g, rep_idx]].tolist())
+            for g in group.generator_indices()]
+    return FiniteGroup(gens, elements=enumerate_elements(gens))
+
+
+def quotient_differences(group, normal_mask: int) -> list[str]:
+    """What ``quotient_with_projection`` gets different from ``bfs_quotient``
+    and from the coset numbering it promises: element table, generators,
+    table digest, row r sending point 0 to r, and the projection being the
+    coset index (cosets numbered by least element, in index order)."""
+    from groupgraph.cache import table_digest
+    from groupgraph.groups import quotient_with_projection
+    q, projection = quotient_with_projection(group, normal_mask)
+    ref = bfs_quotient(group, normal_mask)
+    reps = left_coset_reps(group, normal_mask)
+    members = list(iter_bits(normal_mask))
+    coset_id = [reps.index(min(int(group.mul[x, m]) for m in members))
+                for x in range(group.order)]
+    checks = {
+        "elements": q.elements == ref.elements,
+        "generators": q.generators == ref.generators,
+        "table_digest": table_digest(q) == table_digest(ref),
+        "row order": all(row[0] == r for r, row in enumerate(q.elements)),
+        "projection": projection.tolist() == coset_id,
+    }
+    return [name for name, ok in checks.items() if not ok]
 
 
 # -- small graphs and brute-force graph scans ----------------------------------

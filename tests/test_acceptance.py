@@ -13,8 +13,8 @@ from types import MappingProxyType
 import pytest
 
 from groupgraph import (all_subgroups, build_graph, classify,
-                        find_gap3249_action, graphs_isomorphic, load_corpus,
-                        realize, run_corpus, star_reduction)
+                        find_gap3249_action, graphs_isomorphic, realize,
+                        star_reduction)
 from groupgraph import analytics as an
 from groupgraph.classify import is_iwasawa
 from groupgraph.cli import _json as cli_json
@@ -23,25 +23,6 @@ from groupgraph.errors import BudgetExceeded
 from groupgraph import specs
 from groupgraph.specs import ACTIONS
 from oracles import brute_force_subgroup_masks, cycle_graph, find_induced_p4
-
-
-@pytest.fixture(scope="session")
-def corpus():
-    return load_corpus()
-
-
-@pytest.fixture(scope="session")
-def shared_cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("lattice-cache"))
-
-
-@pytest.fixture(scope="session")
-def fast_report(corpus, shared_cache):
-    start = time.perf_counter()
-    report = run_corpus(corpus, tier="fast", threads=1,
-                        cache_dir=shared_cache)
-    report.elapsed = time.perf_counter() - start
-    return report
 
 
 def test_acceptance_01_subgroup_counts(make):

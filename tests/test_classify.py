@@ -1,9 +1,13 @@
 import pytest
 
-from groupgraph import classify
-from groupgraph.classify import (derived_series_orders, is_abelian,
+from groupgraph import classify, realize
+from groupgraph.cache import load_or_compute
+from groupgraph.classify import (_verify_cyclic_factors,
+                                 derived_series_orders, is_abelian,
                                  is_dedekind, is_iwasawa, is_nilpotent,
                                  is_simple, is_solvable, is_supersolvable)
+from groupgraph.corpus import tier_allows
+from groupgraph.errors import GroupGraphError
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -120,3 +124,57 @@ def test_json_keys(make):
     keys = set(classify(g, lat).to_json_dict())
     assert keys == {"abelian", "dedekind", "iwasawa", "nilpotent", "solvable",
                     "supersolvable", "simple", "p_group"}
+
+
+def _ids_of_order(lat, order):
+    return [i for i in range(lat.subgroup_count()) if lat.order_of(i) == order]
+
+
+def test_cyclic_factor_check_passes_a_cyclic_chain(make):
+    _, lat = make("cyclic(8)")
+    chain = [_ids_of_order(lat, k)[0] for k in (1, 2, 4, 8)]
+    _verify_cyclic_factors(lat, chain)
+
+
+def test_cyclic_factor_check_rejects_a_klein_four_factor(make):
+    _, lat = make("elem_abelian(2,2)")
+    with pytest.raises(GroupGraphError, match="not cyclic"):
+        _verify_cyclic_factors(lat, [lat.trivial_id, lat.full_id])
+
+
+def test_cyclic_factor_check_rejects_a_non_normal_step(make):
+    _, lat = make("dihedral(3)")   # a Z2 in S3, index 3
+    z2 = _ids_of_order(lat, 2)[0]
+    with pytest.raises(GroupGraphError, match="not normal"):
+        _verify_cyclic_factors(lat, [z2, lat.full_id])
+
+
+def test_cyclic_factor_check_rejects_a_step_outside_the_next(make):
+    _, lat = make("direct(cyclic(4), cyclic(2))")
+    above = next(i for i in _ids_of_order(lat, 4) if lat.is_cyclic_subgroup(i))
+    below = next(i for i in _ids_of_order(lat, 2)
+                 if lat.mask_of(i) & ~lat.mask_of(above))
+    with pytest.raises(GroupGraphError, match="not a subgroup"):
+        _verify_cyclic_factors(lat, [lat.trivial_id, below, above,
+                                     lat.full_id])
+
+
+def test_classify_agrees_with_sympy_on_the_fast_tier(corpus, fast_report,
+                                                     shared_cache):
+    """Order, abelian, nilpotent, solvable and the derived series against
+    sympy's permutation groups; lattices come from the fast-tier cache."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+    checked = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if not tier_allows("fast", group.order):
+            continue
+        c = classify(group, load_or_compute(group, shared_cache)[0])
+        ref = PermutationGroup([Permutation(list(g)) for g in group.generators])
+        assert ref.order() == group.order, entry.label
+        assert (c.abelian, c.nilpotent, c.solvable) == (
+            ref.is_abelian, ref.is_nilpotent, ref.is_solvable), entry.label
+        assert list(c.witnesses["derived_series_orders"]) == [
+            h.order() for h in ref.derived_series()], entry.label
+        checked += 1
+    assert checked == len(fast_report.labels)

@@ -9,6 +9,7 @@ from groupgraph.errors import CapExceeded, NotNormal, RealizeError
 from groupgraph.groups import (TableError, quotient_with_projection,
                                subgroup_group)
 from groupgraph.perms import compose, identity, parse_cycles
+from oracles import left_coset_reps, quotient_differences
 
 
 def test_enumerate_identity_only():
@@ -160,7 +161,6 @@ def test_subgroup_group_materializes():
 
 def _per_element_projection(g, q, normal_mask):
     """The quotient index of every element's own action on the cosets."""
-    from groupgraph.groups import left_coset_reps
     reps = left_coset_reps(g, normal_mask)
     members = [j for j in range(g.order) if normal_mask >> j & 1]
     coset_of = {int(g.mul[r, m]): pos for pos, r in enumerate(reps)
@@ -198,3 +198,22 @@ def test_quotient_projection_equals_per_element_action():
         q, proj = quotient_with_projection(g, normal_mask)
         assert proj.tolist() == _per_element_projection(g, q, normal_mask), name
         assert q.order == g.order // normal_mask.bit_count(), name
+
+
+def test_quotient_matches_the_bfs_oracle():
+    for name, g, normal_mask in _normal_subgroup_cases():
+        assert quotient_differences(g, normal_mask) == [], name
+
+
+def test_subgroup_and_normal_masks():
+    s3 = realize("dihedral(3)")
+    swap = s3.element_index[parse_cycles("(1 2)", 3)]
+    rot = s3.element_index[parse_cycles("(0 1 2)", 3)]
+    z3 = 1 | 1 << rot | 1 << int(s3.mul[rot, rot])
+    z2 = 1 | 1 << swap
+    assert s3.is_subgroup_mask(z3) and s3.is_normal_mask(z3)
+    assert s3.is_subgroup_mask(z2) and not s3.is_normal_mask(z2)
+    assert s3.is_subgroup_mask(1) and s3.is_subgroup_mask((1 << 6) - 1)
+    assert not s3.is_subgroup_mask(1 << rot | 1 << int(s3.mul[rot, rot]))
+    assert not s3.is_subgroup_mask(1 | 1 << rot)
+    assert not s3.is_subgroup_mask(0)

@@ -12,7 +12,8 @@ from groupgraph import cache, graphs, harness
 from groupgraph.harness import (_all_automorphisms, _conjugate_edge_split,
                                 registry_table)
 from groupgraph.specs import realize
-from oracles import networkx_invariants, report_invariants
+from oracles import (networkx_invariants, quotient_differences,
+                     report_invariants)
 
 MINI_MANIFEST = """
 # tiny corpus for harness tests
@@ -125,6 +126,18 @@ def test_build_bundle_leaves_a_passed_group_label_alone():
 @pytest.fixture(scope="module")
 def mini_bundles(mini_corpus):
     return [build_bundle(e.label, e.spec) for e in mini_corpus]
+
+
+def test_quotients_match_the_bfs_oracle(mini_bundles):
+    count = 0
+    for b in mini_bundles:
+        lat = b.lattice
+        for sid in range(lat.subgroup_count()):
+            if lat.is_normal[sid]:
+                count += 1
+                assert quotient_differences(b.group, lat.mask_of(sid)) == [], \
+                    (b.label, sid)
+    assert count > 50
 
 
 def test_derived_star_report_equals_a_direct_sweep(mini_bundles):
