@@ -153,8 +153,7 @@ def _verify_cyclic_factors(lat: SubgroupLattice, chain: list[int]) -> None:
     group = lat.group
     for below, above in zip(chain, chain[1:]):
         below_mask, above_mask = lat.mask_of(below), lat.mask_of(above)
-        index, rest = divmod(lat.order_of(above), lat.order_of(below))
-        if below_mask & ~above_mask or rest:
+        if below_mask & ~above_mask:
             raise GroupGraphError(
                 "normal chain step is not a subgroup of the next one; "
                 "chain search is broken")
@@ -164,6 +163,7 @@ def _verify_cyclic_factors(lat: SubgroupLattice, chain: list[int]) -> None:
             raise GroupGraphError(
                 "normal chain step is not normal in the next one; "
                 "chain search is broken")
+        index = lat.order_of(above) // lat.order_of(below)
         outside = np.flatnonzero(
             bool_array_from_mask(above_mask & ~below_mask, group.order))
         power = outside

@@ -7,7 +7,7 @@ import numpy as np
 
 from groupgraph.analytics import Graph, graph_from_edges
 from groupgraph.bits import iter_bits, lowest_bit
-from groupgraph.groups import FiniteGroup, enumerate_elements
+from groupgraph.groups import FiniteGroup
 
 
 def brute_force_subgroup_masks(group, max_generators=None) -> set[int]:
@@ -54,7 +54,7 @@ def bfs_quotient(group, normal_mask: int) -> FiniteGroup:
     rep_idx = np.array(reps, dtype=np.int64)
     gens = [tuple(coset_id[mul[g, rep_idx]].tolist())
             for g in group.generator_indices()]
-    return FiniteGroup(gens, elements=enumerate_elements(gens))
+    return FiniteGroup(gens)
 
 
 def quotient_differences(group, normal_mask: int) -> list[str]:
