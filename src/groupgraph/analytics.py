@@ -188,8 +188,6 @@ def max_clique(g, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[int, list[int]]:
 
     nodes = 0
     limit = budget
-    if sys.getrecursionlimit() < n + 512:
-        sys.setrecursionlimit(n + 512)
 
     def expand(rsize: int, p: int, stack: list[int]) -> None:
         nonlocal nodes, best, best_list
@@ -223,7 +221,14 @@ def max_clique(g, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[int, list[int]]:
             stack.pop()
             p &= ~(1 << v)
 
-    expand(0, (1 << n) - 1, [])
+    # the search recurses once per clique vertex; the process-wide limit
+    # is raised for it and put back afterwards
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, n + 512))
+    try:
+        expand(0, (1 << n) - 1, [])
+    finally:
+        sys.setrecursionlimit(old_limit)
     return best, sorted(back[v] for v in best_list)
 
 

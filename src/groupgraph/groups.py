@@ -175,24 +175,28 @@ class FiniteGroup:
 
     @cached_property
     def inv(self) -> np.ndarray:
-        return np.array(
-            [self.element_index[perms.inverse(p)] for p in self.elements],
-            dtype=np.int64)
+        """inv[g] = index of g^-1: the column of the identity in row g."""
+        return np.argmin(self.mul, axis=1)
 
     @cached_property
     def conj(self) -> np.ndarray:
         """conj[g, x] = index of g x g^-1."""
-        mul = self.mul
-        n = self.order
-        table = np.empty_like(mul)
-        inv = self.inv
-        for g in range(n):
-            table[g] = mul[mul[g], inv[g]]
-        return table
+        return self.mul[self.mul, self.inv[:, None]]
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        return np.array([perms.perm_order(p) for p in self.elements], dtype=np.int64)
+        """The order of each element: the first k with x^k the identity,
+        the elements not there yet stepped through their powers together."""
+        orders = np.zeros(self.order, dtype=np.int64)
+        pending = np.arange(self.order)
+        power, k = pending, 1
+        while pending.size:
+            done = power == 0
+            orders[pending[done]] = k
+            pending, power = pending[~done], power[~done]
+            power = self.mul[power, pending]
+            k += 1
+        return orders
 
     def conjugate_mask(self, mask: int, g: int) -> int:
         row = self.conj[g]

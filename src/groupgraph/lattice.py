@@ -3,13 +3,23 @@
 Enumeration is Neubüser's cyclic extension up to conjugacy (the method
 behind GAP's ``LatticeByCyclicExtension``). A zuppo is a cyclic subgroup
 of prime-power order. Starting from the trivial subgroup, one
-representative H of each conjugacy class found so far is joined with every
-zuppo <z> that is not inside H but whose p-th power z^p is (p the prime
-dividing the order of z). Each new join brings in its whole conjugacy
-class at once, through the ``conj`` table, with conjugated ``gen_hint``s.
-Joins are computed by ``FiniteGroup.closure_mask`` with H as the known
-subgroup: the product set H·<z> when z normalizes H, Dimino's coset-wise
-closure otherwise.
+representative H of each conjugacy class found so far is joined with
+zuppos <z> that are not inside H but whose p-th power z^p is (p the prime
+dividing the order of z), in increasing order of their least generator.
+Each new join brings in its whole conjugacy class at once, through the
+``conj`` table, with conjugated ``gen_hint``s. Two shortcuts keep the
+joins few:
+
+- One join per N(H)-orbit. The candidate zuppos are permuted by the
+  normalizer N(H), and <H, z^n> = <H, z>^n for n in N(H), a conjugate of
+  <H, z> that arrives with its class. So only the least candidate of each
+  N(H)-orbit is joined.
+- Product sets. When z normalizes H, <H, z> is the set H·<z>: the union
+  of the cosets H·z^i for i < p, as z^p lies in H. These joins are read
+  off ``mul`` in one gather per prime; only the others go to
+  ``FiniteGroup.closure_mask`` with H as the known subgroup (Dimino's
+  coset-wise closure). In an abelian group every candidate normalizes H
+  and every orbit is a single zuppo, so no orbit is worked out.
 
 Completeness. Every element is the product of commuting prime-power
 powers of itself, so a subgroup K is generated by the zuppos inside it.
@@ -20,8 +30,21 @@ chain of the joins described above. Conjugation permutes the lattice and
 maps such a chain to another one, so extending one representative per
 class loses no class, and adding whole classes loses no subgroup. When a
 join U = <H, z> has prime index over H, every y in U outside H gives
-<H, y> = U (Lagrange), so those zuppos are skipped for H. The test suite
-cross-checks the result against a brute-force enumeration for small
+<H, y> = U (Lagrange), so those zuppos are skipped for H. A candidate
+left out as not the least of its N(H)-orbit has a join conjugate to the
+least one's, which was either joined or skipped inside a prime-index join
+equal to it, so its class is found as well.
+
+Same output as the unpruned loop. The loop meets zuppos in increasing
+order. The first zuppo whose join lies in a class not found yet is the
+least of its N(H)-orbit: the join of a smaller orbit member is conjugate
+to it, so that member would have found the class first, or been skipped
+inside a prime-index join that already had. The zuppos left out only give
+joins in classes already found, and every prime-index skip is one the
+unpruned loop makes too. So each class is first found by the same
+representative, zuppo and ``gen_hint``, and the masks, hints and class
+labels are those of the unpruned loop, which the test suite keeps as an
+oracle and cross-checks against a brute-force enumeration for small
 groups.
 
 Subgroups are bitsets over the parent group's element table, canonically
@@ -191,10 +214,14 @@ class SubgroupLattice:
 
 
 def _zuppos(group: FiniteGroup):
-    """The cyclic subgroups of prime-power order.
+    """The cyclic subgroups of prime-power order, numbered by least generator.
 
-    Returns three parallel lists: each zuppo's least generator z, the index
-    of z^p (p the prime dividing the order of z) and the member indices.
+    Returns four parallel lists: each zuppo's least generator z, the prime
+    p dividing the order of z, the index of z^p and the member indices
+    (the powers z, z^2, ..., ending at the identity). The fifth value,
+    ``zuppo_of``, maps each element to the number of the zuppo it
+    generates, and every other element to a value above every number; it
+    has ``mul``'s dtype.
     """
     mul = group.mul
     orders = group.element_orders
@@ -203,24 +230,26 @@ def _zuppos(group: FiniteGroup):
         factors = factorize(o)
         if len(factors) == 1:
             prime_of[o] = next(iter(factors))
-    seen: set[int] = set()
+    zuppo_of = np.full(group.order, np.iinfo(mul.dtype).max, dtype=mul.dtype)
     gens: list[int] = []
+    primes: list[int] = []
     pth_powers: list[int] = []
     members: list[np.ndarray] = []
     for z in range(1, group.order):
         p = prime_of.get(int(orders[z]))
-        if p is None:
+        if p is None or zuppo_of[z] < len(gens):
             continue
         powers = [z]  # powers[k] = z^(k + 1)
         while powers[-1] != 0:
             powers.append(int(mul[powers[-1], z]))
-        mask = sum(1 << i for i in powers)
-        if mask not in seen:
-            seen.add(mask)
-            gens.append(z)
-            pth_powers.append(powers[p - 1])
-            members.append(np.array(powers, dtype=np.int64))
-    return gens, pth_powers, members
+        power_idx = np.array(powers, dtype=np.int64)
+        # the generators of <z> are its elements of z's order
+        zuppo_of[power_idx[orders[power_idx] == orders[z]]] = len(gens)
+        gens.append(z)
+        primes.append(p)
+        pth_powers.append(powers[p - 1])
+        members.append(power_idx)
+    return gens, primes, pth_powers, members, zuppo_of
 
 
 def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
@@ -242,16 +271,38 @@ def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
     return list(orbit.values())
 
 
+def _product_sets(group: FiniteGroup, inside: np.ndarray, zuppos,
+                  primes, zmembers) -> dict[int, np.ndarray]:
+    """H·<z> for each listed zuppo z that normalizes H (given by its bool
+    ``inside`` row), as bool rows keyed by zuppo number.
+
+    z^p lies in H, so H·<z> is the union of the cosets H·z^i for i < p:
+    one ``mul`` gather for all zuppos of the same prime.
+    """
+    members = np.flatnonzero(inside)
+    joins: dict[int, np.ndarray] = {}
+    for p in sorted({primes[z] for z in zuppos}):
+        same = [z for z in zuppos if primes[z] == p]
+        # z, z^2, ..., z^(p-1) for each zuppo, one row each
+        powers = np.array([zmembers[z][:p - 1] for z in same], dtype=np.int64)
+        cosets = group.mul[members[:, None, None], powers[None]]
+        rows = np.repeat(inside[None], len(same), axis=0)
+        rows[np.arange(len(same))[None, :, None], cosets] = True
+        joins.update(zip(same, rows))
+    return joins
+
+
 def all_subgroups(group: FiniteGroup,
                   subgroup_cap: int = SUBGROUP_CAP) -> SubgroupLattice:
     """Enumerate every subgroup by cyclic extension up to conjugacy and
     annotate the lattice."""
     n = group.order
     full_mask = (1 << n) - 1
-    zgens, zpowers, zmembers = _zuppos(group)
+    zgens, zprimes, zpowers, zmembers, zuppo_of = _zuppos(group)
     zgen_idx = np.array(zgens, dtype=np.int64)
     zpow_idx = np.array(zpowers, dtype=np.int64)
-    conjugators = [] if is_abelian(group) else group.generator_indices()
+    abelian = is_abelian(group)
+    conjugators = [] if abelian else group.generator_indices()
     trivial = Subgroup(1, 1, ())
     found = {trivial.mask: trivial}
     class_of = {trivial.mask: 0}  # mask -> representative's position
@@ -263,11 +314,30 @@ def all_subgroups(group: FiniteGroup,
         members = np.flatnonzero(inside)
         # extend only by zuppos <z> outside rep with z^p inside it
         skip = inside[zgen_idx] | ~inside[zpow_idx]
-        for z in np.flatnonzero(~skip):
+        candidates = np.flatnonzero(~skip)
+        if abelian:
+            normalizes = np.ones(len(candidates), dtype=bool)
+        else:
+            conj = group.conj
+            in_normalizer = inside[conj[:, members]].all(axis=1)
+            # one zuppo per N(rep)-orbit: the least, which the loop reaches
+            # first; its join's conjugates come with the join's class
+            least = zuppo_of[conj[np.flatnonzero(in_normalizer)[:, None],
+                                  zgen_idx[candidates]]].min(axis=0)
+            candidates = candidates[least == candidates]
+            normalizes = in_normalizer[zgen_idx[candidates]]
+        products = _product_sets(group, inside, candidates[normalizes],
+                                 zprimes, zmembers)
+        for z in candidates:
             if skip[z]:
                 continue
             hint = rep.gen_hint + (zgens[z],)
-            joined = group.closure_mask(zmembers[z], hint, members)
+            if z in products:
+                # most product sets fall inside an earlier prime-index
+                # join, so each becomes a bitset only when it is reached
+                joined = mask_from_bool_array(products[z])
+            else:
+                joined = group.closure_mask(zmembers[z], hint, members)
             if joined not in found:
                 new = Subgroup(joined, joined.bit_count(), hint)
                 for s in _conjugacy_class(group, conjugators, new):

@@ -4,6 +4,23 @@ import pytest
 
 from groupgraph import (all_subgroups, build_graph, load_corpus, realize,
                         run_corpus)
+from groupgraph.corpus import parse_manifest
+
+MINI_MANIFEST = """
+# tiny corpus for harness, lattice and table tests
+s3 = dihedral(3)
+d4 = dihedral(4)
+a4 = alternating(4)
+z6 = cyclic(6)
+z4 = cyclic(4)
+a5 = alternating(5)
+q8 = dicyclic(2)
+z4xq8 = direct(cyclic(4), dicyclic(2))
+s3xz5 = direct(dihedral(3), cyclic(5))
+s3xz7 = direct(dihedral(3), cyclic(7))
+es27_exp3 = semidirect(elem_abelian(3,2), cyclic(3), heisenberg3)
+gap_32_49_like = semidirect(elem_abelian(2,3), elem_abelian(2,2), gap3249)
+"""
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +50,11 @@ def dgraph(make):
         return store[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def mini_corpus():
+    return parse_manifest(MINI_MANIFEST)
 
 
 @pytest.fixture(scope="session")

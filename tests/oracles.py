@@ -5,9 +5,12 @@ from math import log2
 
 import numpy as np
 
+from groupgraph import perms
 from groupgraph.analytics import Graph, graph_from_edges
-from groupgraph.bits import iter_bits, lowest_bit
-from groupgraph.groups import FiniteGroup
+from groupgraph.bits import bool_array_from_mask, iter_bits, lowest_bit
+from groupgraph.groups import FiniteGroup, is_abelian
+from groupgraph.lattice import Subgroup, _conjugacy_class, _zuppos
+from groupgraph.primes import is_prime
 
 
 def brute_force_subgroup_masks(group, max_generators=None) -> set[int]:
@@ -25,6 +28,65 @@ def brute_force_subgroup_masks(group, max_generators=None) -> set[int]:
         for combo in combinations(nonidentity, size):
             masks.add(group.subgroup_generated(combo))
     return masks
+
+
+def per_element_tables(group) -> dict[str, np.ndarray]:
+    """``inv``, ``conj`` and ``element_orders`` computed one element at a
+    time from the permutations themselves (``conj`` row by row)."""
+    inv = np.array([group.element_index[perms.inverse(p)]
+                    for p in group.elements], dtype=np.int64)
+    mul = group.mul
+    conj = np.empty_like(mul)
+    for g in range(group.order):
+        conj[g] = mul[mul[g], inv[g]]
+    orders = np.array([perms.perm_order(p) for p in group.elements],
+                      dtype=np.int64)
+    return {"inv": inv, "conj": conj, "element_orders": orders}
+
+
+def cyclic_extension_lattice(group):
+    """Neubüser's cyclic extension with no shortcut: every class
+    representative is joined by ``closure_mask`` with every zuppo outside it
+    whose p-th power is inside it, unless an earlier join of prime index
+    already holds that zuppo.
+
+    Returns the ``(mask, order, gen_hint)`` triples in canonical order and
+    the class label of each, numbered as ``all_subgroups`` numbers them.
+    """
+    n = group.order
+    full_mask = (1 << n) - 1
+    zgens, _, zpowers, zmembers, _ = _zuppos(group)
+    zgen_idx = np.array(zgens, dtype=np.int64)
+    zpow_idx = np.array(zpowers, dtype=np.int64)
+    conjugators = [] if is_abelian(group) else group.generator_indices()
+    trivial = Subgroup(1, 1, ())
+    found = {trivial.mask: trivial}
+    class_of = {trivial.mask: 0}
+    reps = [trivial]
+    for rep in reps:
+        if rep.mask == full_mask:
+            continue
+        inside = bool_array_from_mask(rep.mask, n)
+        members = np.flatnonzero(inside)
+        skip = inside[zgen_idx] | ~inside[zpow_idx]
+        for z in np.flatnonzero(~skip):
+            if skip[z]:
+                continue
+            hint = rep.gen_hint + (zgens[z],)
+            joined = group.closure_mask(zmembers[z], hint, members)
+            if joined not in found:
+                new = Subgroup(joined, joined.bit_count(), hint)
+                for s in _conjugacy_class(group, conjugators, new):
+                    found[s.mask] = s
+                    class_of[s.mask] = len(reps)
+                reps.append(new)
+            if is_prime(joined.bit_count() // rep.order):
+                skip |= bool_array_from_mask(joined, n)[zgen_idx]
+    ordered = sorted(found.values(), key=lambda s: (s.order, s.mask))
+    labels: dict[int, int] = {}
+    return ([(s.mask, s.order, s.gen_hint) for s in ordered],
+            [labels.setdefault(class_of[s.mask], len(labels))
+             for s in ordered])
 
 
 def left_coset_reps(group, mask: int) -> list[int]:
@@ -148,14 +210,21 @@ def is_induced_map_by_pairs(g1, g2, mapping) -> bool:
     return True
 
 
-def networkx_invariants(g) -> dict:
-    """Girth, component count, isolated count, clique and independence
-    numbers of a bitset graph, computed by networkx."""
+def networkx_graph(g):
+    """A bitset graph as a ``networkx.Graph`` on vertices 0..n-1."""
     import networkx as nx
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from((i, j) for i in range(g.n)
                      for j in iter_bits(g.adj[i]) if j > i)
+    return h
+
+
+def networkx_invariants(g) -> dict:
+    """Girth, component count, isolated count, clique and independence
+    numbers of a bitset graph, computed by networkx."""
+    import networkx as nx
+    h = networkx_graph(g)
 
     def omega(graph):
         return nx.max_weight_clique(graph, weight=None)[1] if g.n else 0

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -550,3 +551,14 @@ def test_analyze_matches_networkx(g):
     assert report_invariants(report) == networkx_invariants(g)
     assert report_invariants(an.reduced_report(report, reduced)) \
         == networkx_invariants(reduced)
+
+
+def test_analyze_leaves_the_recursion_limit_as_it_found_it():
+    # a perfect matching on 1200 vertices: no vertex is isolated, so the
+    # clique searches see all of them and raise the limit while they run
+    before = sys.getrecursionlimit()
+    assert before < 1200 + 512
+    g = graph_from_edges(1200, [(2 * i, 2 * i + 1) for i in range(600)])
+    report = an.analyze(g)
+    assert (report.clique_number, report.independence_number) == (2, 600)
+    assert sys.getrecursionlimit() == before

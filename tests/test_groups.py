@@ -9,7 +9,7 @@ from groupgraph.errors import CapExceeded, NotNormal, RealizeError
 from groupgraph.groups import (TableError, quotient_with_projection,
                                subgroup_group)
 from groupgraph.perms import compose, identity, parse_cycles
-from oracles import left_coset_reps, quotient_differences
+from oracles import left_coset_reps, per_element_tables, quotient_differences
 
 
 def test_enumerate_identity_only():
@@ -86,6 +86,24 @@ def test_mul_inv_conj_tables():
     for i in range(g.order):
         assert g.mul[i, g.inv[i]] == 0
         assert g.conj[0, i] == i
+
+
+def assert_tables_match_per_element_loops(group):
+    for name, expected in per_element_tables(group).items():
+        table = getattr(group, name)
+        assert table.dtype == expected.dtype, (group, name)
+        assert np.array_equal(table, expected), (group, name)
+
+
+@pytest.mark.parametrize("text", ["cyclic(64)", "psl2(8)"])
+def test_tables_from_mul_match_per_element_loops(text):
+    assert_tables_match_per_element_loops(realize(text))
+
+
+def test_tables_from_mul_match_per_element_loops_on_the_mini_corpus(
+        mini_corpus):
+    for entry in mini_corpus:
+        assert_tables_match_per_element_loops(realize(entry.spec))
 
 
 def _subgroup_mask(group, predicate):

@@ -1,4 +1,5 @@
 import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,24 +13,8 @@ from groupgraph import cache, graphs, harness
 from groupgraph.harness import (_all_automorphisms, _conjugate_edge_split,
                                 registry_table)
 from groupgraph.specs import realize
-from oracles import (networkx_invariants, quotient_differences,
-                     report_invariants)
-
-MINI_MANIFEST = """
-# tiny corpus for harness tests
-s3 = dihedral(3)
-d4 = dihedral(4)
-a4 = alternating(4)
-z6 = cyclic(6)
-z4 = cyclic(4)
-a5 = alternating(5)
-q8 = dicyclic(2)
-z4xq8 = direct(cyclic(4), dicyclic(2))
-s3xz5 = direct(dihedral(3), cyclic(5))
-s3xz7 = direct(dihedral(3), cyclic(7))
-es27_exp3 = semidirect(elem_abelian(3,2), cyclic(3), heisenberg3)
-gap_32_49_like = semidirect(elem_abelian(2,3), elem_abelian(2,2), gap3249)
-"""
+from oracles import (networkx_graph, networkx_invariants,
+                     quotient_differences, report_invariants)
 
 EXPECTED_IDS = [
     "T-2.2a", "T-2.2b", "T-2.2c", "T-2.2d", "T-2.2e", "T-2.2f", "T-2.2g",
@@ -37,11 +22,6 @@ EXPECTED_IDS = [
     "T-2.9", "T-2.10", "T-3.1", "T-3.2", "T-3.3", "T-3.4", "T-4.1",
     "T-4.2", "T-5.1", "T-5.2", "T-5.3", "T-5.4", "T-6.1", "T-6.2",
 ]
-
-
-@pytest.fixture(scope="module")
-def mini_corpus():
-    return parse_manifest(MINI_MANIFEST)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +139,22 @@ def test_reports_match_networkx(mini_bundles):
             == networkx_invariants(b.difference), b.label
         assert report_invariants(b.star_report) \
             == networkx_invariants(b.star), b.label
+
+
+def test_isomorphism_matches_networkx_on_the_h3_buckets(mini_bundles):
+    import networkx as nx
+    buckets: dict[tuple, list] = {}
+    for b in mini_bundles:
+        if b.report.edge_count:
+            key = (b.report.vertex_count, b.report.edge_count,
+                   tuple(b.report.degree_sequence))
+            buckets.setdefault(key, []).append(b.difference)
+    pairs = [pair for bucket in buckets.values()
+             for pair in combinations(bucket, 2)]
+    assert len(pairs) == 1  # D(S3 x Z5) and D(S3 x Z7)
+    for g1, g2 in pairs:
+        assert an.graphs_isomorphic(g1, g2) \
+            == nx.is_isomorphic(networkx_graph(g1), networkx_graph(g2))
 
 
 def test_star_reduction_reuses_rows_without_isolated_vertices():

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from groupgraph import all_subgroups, realize
 from groupgraph.errors import CapExceeded, GroupGraphError
-from groupgraph.groups import quotient_group
+from groupgraph.groups import FiniteGroup, quotient_group
 from groupgraph.perms import format_cycles, parse_cycles
-from oracles import brute_force_subgroup_masks
+from oracles import brute_force_subgroup_masks, cyclic_extension_lattice
 
 
 @pytest.mark.parametrize("text,count", [
@@ -164,6 +164,50 @@ def test_random_small_group_matches_brute_force(gens):
     assume(group.order <= 24)
     lat = all_subgroups(group)
     assert {s.mask for s in lat.subgroups} == brute_force_subgroup_masks(group)
+    assert lattice_outputs(lat) == cyclic_extension_lattice(group)
+
+
+def lattice_outputs(lat):
+    """What the unpruned cyclic extension oracle returns, read off a lattice."""
+    return ([(s.mask, s.order, s.gen_hint) for s in lat.subgroups],
+            lat.conj_class_of)
+
+
+@pytest.mark.parametrize("text", [
+    "psl2(7)", "symmetric(5)", "psl2(8)", "elem_abelian(2,5)"])
+def test_matches_the_unpruned_cyclic_extension(make, text):
+    group, lat = make(text)
+    assert lattice_outputs(lat) == cyclic_extension_lattice(group)
+
+
+def test_matches_the_unpruned_cyclic_extension_on_the_mini_corpus(
+        mini_corpus):
+    for entry in mini_corpus:
+        group = realize(entry.spec)
+        assert lattice_outputs(all_subgroups(group)) \
+            == cyclic_extension_lattice(group), entry.label
+
+
+# closures the unpruned cyclic extension runs: psl2(7) 580, symmetric(5)
+# 510, psl2(8) 1277, elem_abelian(2,5) 2077 (abelian: every join is a
+# product set now)
+@pytest.mark.parametrize("text,closures", [
+    ("psl2(7)", 76), ("symmetric(5)", 86), ("psl2(8)", 144),
+    ("elem_abelian(2,5)", 0),
+])
+def test_closures_only_for_non_normalizing_orbit_representatives(
+        monkeypatch, text, closures):
+    calls = []
+    real = FiniteGroup.closure_mask
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    group = realize(text)
+    monkeypatch.setattr(FiniteGroup, "closure_mask", spy)
+    all_subgroups(group)
+    assert len(calls) == closures
 
 
 @pytest.mark.parametrize("text,subgroups,classes", [
