@@ -15,7 +15,6 @@ report instead of a second sweep.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,19 +161,20 @@ def is_cycle(g) -> tuple[bool, int | None]:
 
 def max_clique(g, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[int, list[int]]:
     """Exact maximum clique (size, witness). Deterministic: vertices are
-    explored in descending-degree order with id tiebreaks."""
+    explored in descending-degree order with id tiebreaks.
+
+    The graph is renumbered into that order once, by one gather of its
+    adjacency matrix. The search is depth-first with an explicit stack:
+    each open node holds its clique size, its candidates and its
+    candidates' greedy coloring, and its children are entered from the
+    highest color down until the coloring bound fails. Every node entered
+    counts against ``budget``.
+    """
     n = g.n
     if n == 0:
         return 0, []
     order = sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v))
-    back = {new: old for new, old in enumerate(order)}
-    pos = {old: new for new, old in enumerate(order)}
-    adj = [0] * n
-    for old_i in range(n):
-        row = 0
-        for old_j in iter_bits(g.adj[old_i]):
-            row |= 1 << pos[old_j]
-        adj[pos[old_i]] = row
+    adj = rows_from_bool(bool_rows(g.adj, n)[np.ix_(order, order)])
 
     # greedy clique seeds the incumbent
     cand = (1 << n) - 1
@@ -187,49 +187,51 @@ def max_clique(g, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[int, list[int]]:
     best_list = greedy[:]
 
     nodes = 0
-    limit = budget
-
-    def expand(rsize: int, p: int, stack: list[int]) -> None:
-        nonlocal nodes, best, best_list
+    clique: list[int] = []
+    # open nodes: [clique size, candidates left, (vertex, color) to enter]
+    open_nodes: list[list] = []
+    p = (1 << n) - 1
+    while True:
         nodes += 1
-        if nodes > limit:
+        if nodes > budget:
             raise BudgetExceeded(
-                f"clique search exceeded {limit} node expansions")
-        if p == 0:
-            if rsize > best:
-                best = rsize
-                best_list = stack[:]
-            return
-        # greedy coloring in id order; assignment order has nondecreasing color
-        seq: list[tuple[int, int]] = []
-        uncolored = p
-        c = 0
-        while uncolored:
-            c += 1
-            avail = uncolored
-            while avail:
-                v = lowest_bit(avail)
-                seq.append((v, c))
-                uncolored &= ~(1 << v)
-                avail &= ~(1 << v) & ~adj[v]
-        for i in range(len(seq) - 1, -1, -1):
-            v, color = seq[i]
-            if rsize + color <= best:
-                return
-            stack.append(v)
-            expand(rsize + 1, p & adj[v], stack)
-            stack.pop()
-            p &= ~(1 << v)
+                f"clique search exceeded {budget} node expansions")
+        if p:
+            open_nodes.append([len(clique), p, _greedy_coloring(p, adj)])
+        elif len(clique) > best:
+            best = len(clique)
+            best_list = clique[:]
+        # enter the next child of the deepest open node that has one
+        while open_nodes:
+            node = open_nodes[-1]
+            rsize, p, seq = node
+            del clique[rsize:]
+            if seq and rsize + seq[-1][1] > best:
+                v = seq.pop()[0]
+                node[1] = p & ~(1 << v)
+                clique.append(v)
+                p &= adj[v]
+                break
+            open_nodes.pop()
+        else:
+            return best, sorted(order[v] for v in best_list)
 
-    # the search recurses once per clique vertex; the process-wide limit
-    # is raised for it and put back afterwards
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n + 512))
-    try:
-        expand(0, (1 << n) - 1, [])
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return best, sorted(back[v] for v in best_list)
+
+def _greedy_coloring(p: int, adj) -> list[tuple[int, int]]:
+    """Greedy coloring of the vertices of ``p`` in id order, as (vertex,
+    color) pairs in assignment order, so with nondecreasing colors."""
+    seq: list[tuple[int, int]] = []
+    uncolored = p
+    c = 0
+    while uncolored:
+        c += 1
+        avail = uncolored
+        while avail:
+            v = lowest_bit(avail)
+            seq.append((v, c))
+            uncolored &= ~(1 << v)
+            avail &= ~(1 << v) & ~adj[v]
+    return seq
 
 
 def clique_number(g, budget: int = DEFAULT_SOLVER_BUDGET) -> int:

@@ -1,4 +1,5 @@
-"""Bitset helpers. Subgroups and adjacency rows are plain Python ints."""
+"""Bitset helpers. Subgroups and adjacency rows are plain Python ints;
+array passes work on rows packed into uint64 words."""
 
 from __future__ import annotations
 
@@ -50,3 +51,13 @@ def rows_from_bool(matrix: np.ndarray) -> list[int]:
     """The rows of a 2-d bool matrix as bitsets; inverse of ``bool_rows``."""
     packed = np.packbits(matrix, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def words_from_bool(matrix: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d bool matrix packed into uint64 words, the last
+    word padded with zeros: ANDs and popcounts of these rows are those of
+    the bitsets, word by word."""
+    packed = np.packbits(matrix, axis=1)
+    words = np.zeros((len(packed), (packed.shape[1] + 7) // 8), dtype=np.uint64)
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
+    return words

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import (bool_array_from_mask, indices_from_mask, lowest_bit,
-                   mask_from_bool_array)
+                   mask_from_bool_array, words_from_bool)
 from .errors import CapExceeded, GroupGraphError
 from .groups import FiniteGroup, is_abelian
 from .primes import factorize, is_prime
@@ -89,6 +89,8 @@ class SubgroupLattice:
         self.full_id = len(subgroups) - 1
         self._members = [np.array(s.member_indices(), dtype=np.int64)
                          for s in subgroups]
+        # each subgroup's members packed into uint64 words, by id
+        self.member_words = np.empty((0, 0), dtype=np.uint64)
         self.supersets: list[int] = []
         # class labels number the classes in order of their lowest id
         self.conj_class_of: list[int] = list(conj_class_of)
@@ -132,11 +134,7 @@ class SubgroupLattice:
         members = np.zeros((n, order), dtype=bool)
         for i, idx in enumerate(self._members):
             members[i, idx] = True
-        packed = np.packbits(members, axis=1)
-        pad = (-packed.shape[1]) % 8
-        if pad:
-            packed = np.pad(packed, ((0, 0), (0, pad)))
-        words = packed.view(np.uint64)
+        words = self.member_words = words_from_bool(members)
         self.supersets = []
         for i in range(n):
             covered = ((words[i] & ~words) == 0).all(axis=1)
@@ -332,10 +330,11 @@ def all_subgroups(group: FiniteGroup,
             if skip[z]:
                 continue
             hint = rep.gen_hint + (zgens[z],)
-            if z in products:
+            row = products.get(z)
+            if row is not None:
                 # most product sets fall inside an earlier prime-index
                 # join, so each becomes a bitset only when it is reached
-                joined = mask_from_bool_array(products[z])
+                joined = mask_from_bool_array(row)
             else:
                 joined = group.closure_mask(zmembers[z], hint, members)
             if joined not in found:
@@ -349,7 +348,9 @@ def all_subgroups(group: FiniteGroup,
                 reps.append(new)
             if is_prime(joined.bit_count() // rep.order):
                 # any zuppo in joined but not in rep generates joined with rep
-                skip |= bool_array_from_mask(joined, n)[zgen_idx]
+                if row is None:
+                    row = bool_array_from_mask(joined, n)
+                skip |= row[zgen_idx]
     ordered = sorted(found.values(), key=lambda s: (s.order, s.mask))
     labels: dict[int, int] = {}
     return SubgroupLattice(

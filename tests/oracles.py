@@ -8,6 +8,8 @@ import numpy as np
 from groupgraph import perms
 from groupgraph.analytics import Graph, graph_from_edges
 from groupgraph.bits import bool_array_from_mask, iter_bits, lowest_bit
+from groupgraph.graphs import (KINDS, SubgroupGraph, build_graph,
+                               star_reduction)
 from groupgraph.groups import FiniteGroup, is_abelian
 from groupgraph.lattice import Subgroup, _conjugacy_class, _zuppos
 from groupgraph.primes import is_prime
@@ -142,6 +144,55 @@ def quotient_differences(group, normal_mask: int) -> list[str]:
     return [name for name, ok in checks.items() if not ok]
 
 
+def pairwise_graph(lat, kind: str) -> SubgroupGraph:
+    """One of the four subgroup graphs, built one vertex pair at a time:
+    <H, K> = G when no maximal subgroup contains both (read off
+    ``supersets``), HK = G when |H||K| = |G||H n K| (on the masks)."""
+    if kind == "difference_star":
+        return star_reduction(pairwise_graph(lat, "difference"))
+    vertices = tuple(lat.nontrivial_proper_ids())
+    n = len(vertices)
+    order = lat.group.order
+    maximal_ids = lat.maximal_subgroups()
+    above = []      # per vertex: bitset over maximal subgroups containing it
+    masks = []
+    orders = []
+    for sid in vertices:
+        above.append(sum(1 << pos for pos, m in enumerate(maximal_ids)
+                         if lat.supersets[sid] >> m & 1))
+        masks.append(lat.mask_of(sid))
+        orders.append(lat.order_of(sid))
+    adj = [0] * n
+    for i in range(n):
+        mi, oi, ai = masks[i], orders[i], above[i]
+        for j in range(i + 1, n):
+            joined = not (ai & above[j])
+            if kind == "delta":
+                edge = joined
+            else:
+                product_is_group = (
+                    oi * orders[j] == order * (mi & masks[j]).bit_count())
+                if kind == "gamma":
+                    edge = product_is_group
+                else:  # difference
+                    edge = joined and not product_is_group
+            if edge:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return SubgroupGraph(kind, lat, vertices, adj)
+
+
+def pair_loop_mismatches(lat) -> list[str]:
+    """The graph kinds whose ``build_graph`` vertices or rows differ from
+    ``pairwise_graph``'s."""
+    out = []
+    for kind in KINDS:
+        graph, ref = build_graph(lat, kind), pairwise_graph(lat, kind)
+        if (graph.vertices, graph.adj) != (ref.vertices, ref.adj):
+            out.append(kind)
+    return out
+
+
 # -- small graphs and brute-force graph scans ----------------------------------
 
 
@@ -222,18 +273,25 @@ def networkx_graph(g):
 
 def networkx_invariants(g) -> dict:
     """Girth, component count, isolated count, clique and independence
-    numbers of a bitset graph, computed by networkx."""
+    numbers of a bitset graph, computed by networkx.
+
+    networkx's ``max_weight_clique`` recurses once per clique vertex, so
+    alpha is the isolated count plus the alpha of the rest: the complement
+    of a large edgeless graph would be a clique too deep for it."""
     import networkx as nx
     h = networkx_graph(g)
+    isolates = list(nx.isolates(h))
+    rest = h.copy()
+    rest.remove_nodes_from(isolates)
 
     def omega(graph):
-        return nx.max_weight_clique(graph, weight=None)[1] if g.n else 0
+        return nx.max_weight_clique(graph, weight=None)[1] if len(graph) else 0
 
     return {"girth": nx.girth(h),
             "component_count": nx.number_connected_components(h),
-            "isolated_count": nx.number_of_isolates(h),
+            "isolated_count": len(isolates),
             "clique_number": omega(h),
-            "independence_number": omega(nx.complement(h))}
+            "independence_number": len(isolates) + omega(nx.complement(rest))}
 
 
 def report_invariants(report) -> dict:

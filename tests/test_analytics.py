@@ -156,6 +156,36 @@ def test_budget_is_an_error_not_an_approximation():
         max_clique(g, budget=3)
 
 
+# (size, witness, fewest nodes that finish) of the clique search on the
+# non-isolated part of D, and on its complement (alpha)
+PINNED_SEARCHES = {
+    "psl2(7)": (
+        (22, [112, 113, 114, 115, 116, 117, 118, 119, 141, 142, 143, 144,
+              145, 146, 147, 148, 149, 150, 151, 152, 153, 154], 1),
+        (29, [0, 5, 7, 9, 10, 11, 13, 17, 20, 27, 35, 41, 42, 52, 56, 64,
+              65, 69, 70, 82, 87, 92, 108, 110, 120, 121, 138, 148, 172],
+         30)),
+    "symmetric(5)": (
+        (16, [70, 80, 82, 85, 87, 91, 92, 95, 100, 102, 103, 106, 109, 112,
+              115, 118], 46),
+        (57, [4, 6, 8, 10, 11, 12, 14, 15, 16, 18, 19, 20, 22, 23, 24, 25,
+              26, 27, 28, 29, 30, 31, 32, 33, 34, 40, 52, 60, 64, 68, 70,
+              71, 72, 73, 74, 75, 81, 84, 86, 90, 93, 94, 99, 101, 104, 105,
+              121, 122, 123, 124, 125, 126, 127, 132, 135, 137, 139], 58)),
+}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_SEARCHES))
+def test_clique_search_nodes_and_witnesses_are_pinned(dgraph, text):
+    _, rows = an.without_isolated(dgraph(text))
+    rest = Graph(len(rows), tuple(rows))
+    for g, (size, witness, nodes) in zip((rest, complement(rest)),
+                                         PINNED_SEARCHES[text]):
+        assert max_clique(g, budget=nodes) == (size, witness)
+        with pytest.raises(BudgetExceeded):
+            max_clique(g, budget=nodes - 1)
+
+
 def test_solvers_on_trivial_graphs():
     assert max_clique(Graph(0, ()))[0] == 0
     assert max_clique(Graph(1, (0,)))[0] == 1

@@ -1,10 +1,71 @@
+import tracemalloc
+
 import pytest
 
-from groupgraph import build_graph, star_reduction
+from groupgraph import build_graph, graphs, realize, star_reduction
+from groupgraph.cache import load_or_compute
+from groupgraph.corpus import tier_allows
 from groupgraph.errors import GroupGraphError, NotNormal
-from groupgraph.graphs import (conjugation_vertex_map, graph_to_json_dict,
-                               is_graph_automorphism, quotient_embedding,
-                               semidirect_embedding, to_dot)
+from groupgraph.graphs import (KINDS, conjugation_vertex_map,
+                               graph_to_json_dict, is_graph_automorphism,
+                               quotient_embedding, semidirect_embedding,
+                               to_dot)
+from oracles import pair_loop_mismatches
+
+
+def test_build_graph_matches_the_pair_loop_on_the_fast_tier(
+        corpus, fast_report, shared_cache):
+    """Every kind on every fast-tier lattice, read from the cache the
+    fast-tier report filled."""
+    checked = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if not tier_allows("fast", group.order):
+            continue
+        assert pair_loop_mismatches(
+            load_or_compute(group, shared_cache)[0]) == [], entry.label
+        checked += 1
+    assert checked == len(fast_report.labels)
+
+
+@pytest.mark.parametrize("text", ["psl2(8)", "symmetric(5)"])
+def test_build_graph_matches_the_pair_loop(make, text):
+    assert pair_loop_mismatches(make(text)[1]) == []
+
+
+@pytest.mark.parametrize("text", ["cyclic(1)", "cyclic(7)"])
+def test_trivial_and_prime_cyclic_groups_have_no_vertices(make, text):
+    _, lat = make(text)
+    for kind in KINDS:
+        graph = build_graph(lat, kind)
+        assert (graph.vertices, graph.adj) == ((), []), kind
+    assert pair_loop_mismatches(lat) == []
+
+
+def test_build_graph_is_chunk_size_independent(make, monkeypatch):
+    """One row per chunk (the smallest bound) gives the same graphs."""
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", 1)
+    for text in ("symmetric(4)", "psl2(7)", "elem_abelian(2,4)"):
+        assert pair_loop_mismatches(make(text)[1]) == []
+
+
+@pytest.mark.parametrize("text", ["psl2(8)", "elem_abelian(2,5)"])
+def test_build_graph_memory_stays_near_the_chunk_bound(make, text):
+    """numpy reports its buffers to tracemalloc, so the peak covers every
+    temporary; a few chunk-sized ones are alive at once, and the outputs
+    are small. psl2(8) has 384 vertices of 8 member words and 73 maximal
+    subgroups, elem_abelian(2,5) 372 vertices and 31 maximal subgroups:
+    one bool per vertex pair and maximal subgroup would take 4.3 MB
+    there."""
+    _, lat = make(text)
+    tracemalloc.start()
+    try:
+        for kind in ("gamma", "delta", "difference"):
+            build_graph(lat, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * graphs.CHUNK_BYTES
 
 
 def test_difference_of_s3(dgraph):

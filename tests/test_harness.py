@@ -6,7 +6,7 @@ import pytest
 
 from groupgraph import (REGISTRY, Budgets, build_bundle, hunt, load_corpus,
                         run_corpus, verify)
-from groupgraph.corpus import Corpus, parse_manifest
+from groupgraph.corpus import Corpus, parse_manifest, tier_allows
 from groupgraph.errors import RealizeError
 from groupgraph import analytics as an
 from groupgraph import cache, graphs, harness
@@ -139,6 +139,27 @@ def test_reports_match_networkx(mini_bundles):
             == networkx_invariants(b.difference), b.label
         assert report_invariants(b.star_report) \
             == networkx_invariants(b.star), b.label
+
+
+def test_reports_match_networkx_on_the_fast_tier(corpus, fast_report,
+                                                 shared_cache):
+    """``analyze`` on every fast-tier D and the derived D* report against
+    networkx; lattices come from the fast-tier cache."""
+    checked = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if not tier_allows("fast", group.order):
+            continue
+        lat, _ = cache.load_or_compute(group, shared_cache)
+        difference = graphs.build_graph(lat, "difference")
+        star = graphs.star_reduction(difference)
+        report = an.analyze(difference)
+        assert report_invariants(report) \
+            == networkx_invariants(difference), entry.label
+        assert report_invariants(an.reduced_report(report, star)) \
+            == networkx_invariants(star), entry.label
+        checked += 1
+    assert checked == len(fast_report.labels)
 
 
 def test_isomorphism_matches_networkx_on_the_h3_buckets(mini_bundles):

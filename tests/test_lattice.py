@@ -6,7 +6,8 @@ from groupgraph import all_subgroups, realize
 from groupgraph.errors import CapExceeded, GroupGraphError
 from groupgraph.groups import FiniteGroup, quotient_group
 from groupgraph.perms import format_cycles, parse_cycles
-from oracles import brute_force_subgroup_masks, cyclic_extension_lattice
+from oracles import (brute_force_subgroup_masks, cyclic_extension_lattice,
+                     pair_loop_mismatches)
 
 
 @pytest.mark.parametrize("text,count", [
@@ -165,6 +166,7 @@ def test_random_small_group_matches_brute_force(gens):
     lat = all_subgroups(group)
     assert {s.mask for s in lat.subgroups} == brute_force_subgroup_masks(group)
     assert lattice_outputs(lat) == cyclic_extension_lattice(group)
+    assert pair_loop_mismatches(lat) == []
 
 
 def lattice_outputs(lat):
