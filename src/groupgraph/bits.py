@@ -61,3 +61,11 @@ def words_from_bool(matrix: np.ndarray) -> np.ndarray:
     words = np.zeros((len(packed), (packed.shape[1] + 7) // 8), dtype=np.uint64)
     words.view(np.uint8)[:, :packed.shape[1]] = packed
     return words
+
+
+def row_blocks(count: int, row_size: int, limit: int):
+    """Slices of ``range(count)`` whose rows, ``row_size`` each, stay
+    within ``limit`` together (one row at least)."""
+    step = max(1, limit // max(row_size, 1))
+    for start in range(0, count, step):
+        yield slice(start, start + step)

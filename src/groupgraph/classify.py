@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import bool_array_from_mask, iter_bits
+from .bits import bool_array_from_mask, row_blocks
 from .errors import CriteriaDisagreement, GroupGraphError
+from .graphs import CHUNK_BYTES
 from .groups import FiniteGroup, is_abelian
 from .lattice import SubgroupLattice
 from .primes import factorize, is_prime
@@ -81,13 +82,20 @@ def is_nilpotent(group: FiniteGroup, lat: SubgroupLattice) -> bool:
 
 
 def derived_subgroup_mask(group: FiniteGroup, mask: int) -> int:
-    """Commutator subgroup of the subgroup given by ``mask``, inside group."""
-    idx = np.array(list(iter_bits(mask)), dtype=np.int64)
+    """Commutator subgroup of the subgroup given by ``mask``, inside group.
+
+    The commutators x^-1 y^-1 x y are scattered into a bool row, a block
+    of x at a time, so no |H| x |H| table is held.
+    """
+    idx = np.flatnonzero(bool_array_from_mask(mask, group.order))
     mul, inv = group.mul, group.inv
-    step = mul[np.ix_(inv[idx], inv[idx])]
-    step = mul[step, idx[:, None]]
-    step = mul[step, idx[None, :]]
-    comms = np.unique(step)
+    comms = np.zeros(group.order, dtype=bool)
+    # the gathers index with intp, 8 bytes per commutator
+    for rows in row_blocks(idx.size, idx.size * 8, CHUNK_BYTES):
+        step = mul[np.ix_(inv[idx[rows]], inv[idx])]
+        step = mul[step, idx[rows, None]]
+        comms[mul[step, idx[None, :]]] = True
+    comms = np.flatnonzero(comms)
     return group.closure_mask(comms, comms)
 
 

@@ -32,8 +32,9 @@ import numpy as np
 
 from . import perms
 from .analytics import is_induced_map, without_isolated
-from .bits import (bool_array_from_mask, iter_bits, mask_from_bool_array,
-                   mask_from_indices, rows_from_bool, words_from_bool)
+from .bits import (bool_array_from_mask, bool_rows, iter_bits,
+                   mask_from_bool_array, row_blocks, rows_from_bool,
+                   words_from_bool)
 from .cache import table_digest
 from .errors import GroupGraphError, NotNormal
 from .groups import FiniteGroup, quotient_with_projection, subgroup_group
@@ -89,12 +90,13 @@ def build_graph(lat: SubgroupLattice, kind: str) -> SubgroupGraph:
     words = lat.member_words[1:lat.full_id]
     outside_maximal = ~lat.member_words[lat.maximal_subgroups()]
     above = np.zeros((n, (len(outside_maximal) + 63) // 64), dtype=np.uint64)
-    for rows in _row_chunks(n, outside_maximal.nbytes):
+    for rows in row_blocks(n, outside_maximal.nbytes, CHUNK_BYTES):
         inside = ~(words[rows, None] & outside_maximal).any(axis=2)
         above[rows] = words_from_bool(inside)
     orders = np.array([lat.order_of(sid) for sid in vertices], dtype=np.int64)
     adj: list[int] = []
-    for rows in _row_chunks(n, n * max(words.shape[1], above.shape[1]) * 8):
+    row_bytes = n * max(words.shape[1], above.shape[1]) * 8
+    for rows in row_blocks(n, row_bytes, CHUNK_BYTES):
         if kind != "gamma":  # <H, K> = G: no maximal subgroup above both
             edges = ~(above[rows, None] & above).any(axis=2)
         if kind != "delta":  # HK = G: |H||K| = |G||H n K|
@@ -108,14 +110,6 @@ def build_graph(lat: SubgroupLattice, kind: str) -> SubgroupGraph:
     return SubgroupGraph(kind, lat, vertices, adj)
 
 
-def _row_chunks(count: int, row_bytes: int):
-    """Slices of ``range(count)`` whose rows, ``row_bytes`` each, stay
-    within CHUNK_BYTES (one row at least)."""
-    step = max(1, CHUNK_BYTES // max(row_bytes, 1))
-    for start in range(0, count, step):
-        yield slice(start, start + step)
-
-
 def star_reduction(graph: SubgroupGraph) -> SubgroupGraph:
     """Difference graph with isolated vertices removed."""
     if graph.kind != "difference":
@@ -127,10 +121,13 @@ def star_reduction(graph: SubgroupGraph) -> SubgroupGraph:
 
 def conjugation_vertex_map(lat: SubgroupLattice, g_elem: int) -> list[int]:
     """The permutation H -> g H g^-1 of the standard vertex set (all
-    nontrivial proper subgroups), as a list over vertex positions."""
+    nontrivial proper subgroups), as a list over vertex positions; every
+    vertex is conjugated in one gather."""
     vertices = lat.nontrivial_proper_ids()
-    pos = {sid: i for i, sid in enumerate(vertices)}
-    return [pos[lat.conjugate_subgroup(sid, g_elem)] for sid in vertices]
+    members = bool_rows([lat.mask_of(sid) for sid in vertices], lat.group.order)
+    images = lat.group.conjugate_rows(members, g_elem)
+    # vertex ids run from 1 to full_id - 1, so position = id - 1
+    return [lat.index_of[mask] - 1 for mask in rows_from_bool(images)]
 
 
 def is_graph_automorphism(graph: SubgroupGraph, mapping: list[int]) -> bool:
@@ -228,8 +225,9 @@ def semidirect_embedding(lat: SubgroupLattice,
     def product_with_h(k1_mask: int) -> int:
         k1_parent_idx = [group.element_index[k_group.elements[i]]
                          for i in iter_bits(k1_mask)]
-        return mask_from_indices(np.unique(
-            group.mul[np.ix_(h_idx, np.array(k1_parent_idx, dtype=np.int64))]))
+        member = np.zeros(group.order, dtype=bool)
+        member[group.mul[np.ix_(h_idx, k1_parent_idx)]] = True
+        return mask_from_bool_array(member)
 
     return _embedding(lat, k_group, target, product_with_h, memo)
 

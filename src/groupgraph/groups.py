@@ -3,6 +3,18 @@
 Everything downstream (lattices, graphs, the verification harness) works on
 element indices into the canonical sorted table, so a FiniteGroup also owns
 the numpy index tables for multiplication, inversion and conjugation.
+
+The multiplication table is the regular representation built from the
+generators. Only the m generator rows (g followed by every element) are
+composed from permutations, and each of those m·n products is compared in
+full with the element it is looked up as. Every other row comes from two
+known rows by associativity: (a b) x = a (b x), so the row of a b is the
+row of a gathered at the row of b. No other entry is looked up, and none
+needs a compare: it is an index of the table by construction, and exact
+because the generator rows are. Inverses and conjugation are gathers of
+that table, and so is conjugating a subgroup: x lies in g H g^-1 exactly
+when g^-1 x g lies in H, so H's membership row is pulled back through
+``conj[g^-1]``.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ import numpy as np
 
 from . import perms
 from .bits import (bool_array_from_mask, iter_bits, mask_from_bool_array,
-                   mask_from_indices)
+                   mask_from_indices, row_blocks)
 from .errors import (CacheError, CapExceeded, GroupGraphError, NotNormal,
                      RealizeError)
 from .perms import Perm
@@ -22,9 +34,9 @@ DEFAULT_ORDER_CAP = 20_000
 # n x n index tables above this order would not fit in memory; every group
 # the toolkit analyses in depth is far below it (largest corpus group: 1092).
 TABLE_CAP = 8_192
-# mul is composed this many (row, column, point) entries at a time, so the
-# table never holds a full n x n x degree array in memory
-_MUL_BLOCK = 1 << 16
+# mul's products are searched and its rows gathered this many entries at a
+# time, so building the table needs little memory beside the table itself
+_MUL_BLOCK = 1 << 15
 
 
 class TableError(GroupGraphError):
@@ -131,10 +143,22 @@ class FiniteGroup:
     def mul(self) -> np.ndarray:
         """mul[i, j] = index of elements[i] followed by elements[j].
 
-        Whole rows are composed at once. Each composed permutation is looked
-        up by the shortest prefix of point images that tells the sorted
-        elements apart, one ``searchsorted`` per prefix position, and then
-        compared with the element found in full.
+        Only the generators' rows are composed from permutations: row g
+        holds g followed by each element, m·n products for m generators.
+        Each product is looked up by the shortest prefix of point images
+        that tells the sorted elements apart, one ``searchsorted`` per
+        prefix position, and then compared with the element found in full;
+        a mismatch raises TableError. The identity's row is ``arange(n)``.
+
+        Every other row follows by associativity: when c is a followed by
+        b, c followed by x is a followed by (b followed by x), so row c is
+        row a gathered at row b. Each round takes the products of all
+        pairs of known rows, a block of rows at a time until every row is
+        known, and fills the rows of the new ones; the known words in the
+        generators double in length per round. These rows are exact with
+        no lookup, as the generator rows they come from were compared in
+        full. A round that finds nothing new means the generators do not
+        generate the table, which raises TableError.
         """
         if self.order > TABLE_CAP:
             raise CapExceeded(
@@ -146,31 +170,55 @@ class FiniteGroup:
         # the table is sorted, so neighbours share the longest prefixes
         differ = points[1:] != points[:-1]
         depth = int(differ.argmax(axis=1).max()) + 1 if n > 1 else 0
-        # level t ranks the distinct prefixes of length t + 1: a prefix's
-        # rank is the position of (rank of its first t images) * degree +
-        # (image t) among the sorted distinct such keys
+        # level t holds the distinct prefixes of length t + 1 in order, each
+        # as (rank of its first t images) * degree + (image t); the rows are
+        # sorted, so equal keys are adjacent and a row's rank is the count
+        # of distinct keys before its own
         levels = []
         rank = np.zeros(n, dtype=np.int64)
         for t in range(depth):
             keys = rank * degree + points[:, t]
-            levels.append(np.unique(keys))
-            rank = np.searchsorted(levels[-1], keys)
+            first = np.ones(n, dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            levels.append(keys[first])
+            rank = np.cumsum(first) - 1
+        m = len(self.generators)
+        gens = np.array(self.generators, dtype=points.dtype).reshape(m, degree)
+        # composed[r * n + j] = generator r followed by elements[j]
+        composed = points[:, gens].transpose(1, 0, 2).reshape(m * n, degree)
+        index = np.zeros(m * n, dtype=np.int64)
+        for t, level in enumerate(levels):
+            index = np.searchsorted(level, index * degree + composed[:, t])
+        np.minimum(index, n - 1, out=index)
+        if not np.array_equal(points[index], composed):
+            raise TableError(
+                f"{self.spec_label or 'group'}: a product of two elements "
+                "is missing from the element table")
+        gen_rows = index.reshape(m, n)
         table = np.empty((n, n), dtype=np.uint16 if n <= 65535 else np.uint32)
-        block = max(1, _MUL_BLOCK // (n * max(degree, 1)))
-        for start in range(0, n, block):
-            rows = points[start:start + block]
-            # composed[r, j] = rows[r] followed by points[j]
-            composed = points[:, rows].transpose(1, 0, 2).reshape(
-                len(rows) * n, degree)
-            index = np.zeros(len(composed), dtype=np.int64)
-            for t, level in enumerate(levels):
-                index = np.searchsorted(level, index * degree + composed[:, t])
-            np.minimum(index, n - 1, out=index)
-            if not np.array_equal(points[index], composed):
+        table[0] = np.arange(n)
+        table[gen_rows[:, 0]] = gen_rows  # g followed by the identity is g
+        known = np.zeros(n, dtype=bool)
+        known[0] = known[gen_rows[:, 0]] = True
+        while not known.all():
+            ks = np.flatnonzero(known)
+            for part in row_blocks(ks.size, ks.size, _MUL_BLOCK):
+                products = table[ks[part, None], ks].ravel()
+                # source[c] = position in products of some a, b with c = ab
+                source = np.full(n, products.size)
+                source[products] = np.arange(products.size)
+                new = np.flatnonzero(~known & (source < products.size))
+                a, b = np.divmod(source[new], ks.size)
+                a, b = ks[part][a], ks[b]
+                for rows in row_blocks(new.size, n, _MUL_BLOCK):
+                    table[new[rows]] = table[a[rows, None], table[b[rows]]]
+                known[new] = True
+                if known.all():
+                    break
+            if np.count_nonzero(known) == ks.size:
                 raise TableError(
-                    f"{self.spec_label or 'group'}: a product of two elements "
-                    "is missing from the element table")
-            table[start:start + len(rows)] = index.reshape(len(rows), n)
+                    f"{self.spec_label or 'group'}: the generators do not "
+                    "generate the element table")
         return table
 
     @cached_property
@@ -198,12 +246,18 @@ class FiniteGroup:
             k += 1
         return orders
 
+    def conjugate_rows(self, member: np.ndarray, g) -> np.ndarray:
+        """Bool membership rows of the conjugates g H g^-1 of the subsets H
+        given by the bool rows ``member`` (last axis over the elements).
+        ``g`` is one conjugator, or an array of them whose axis comes just
+        before the last. x lies in g H g^-1 exactly when g^-1 x g lies in
+        H, so each image is ``member`` gathered at ``conj[inv[g]]``."""
+        return member[..., self.conj[self.inv[g]]]
+
     def conjugate_mask(self, mask: int, g: int) -> int:
-        row = self.conj[g]
-        out = 0
-        for i in iter_bits(mask):
-            out |= 1 << int(row[i])
-        return out
+        """The bitset g H g^-1 of the bitset H."""
+        return mask_from_bool_array(
+            self.conjugate_rows(bool_array_from_mask(mask, self.order), g))
 
     def closure_mask(self, seed_indices, generator_indices,
                      subgroup=None) -> int:
@@ -336,7 +390,9 @@ def quotient_with_projection(group: FiniteGroup, normal_mask: int,
     members = np.flatnonzero(bool_array_from_mask(normal_mask, group.order))
     # x·N is named by its least element
     least = mul[:, members].min(axis=1)
-    reps = np.unique(least)
+    is_rep = np.zeros(group.order, dtype=bool)
+    is_rep[least] = True
+    reps = np.flatnonzero(is_rep)
     coset_id = np.searchsorted(reps, least)
     expected = group.order // members.size
     if reps.size != expected:

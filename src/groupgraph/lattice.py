@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import (bool_array_from_mask, indices_from_mask, lowest_bit,
-                   mask_from_bool_array, words_from_bool)
+                   mask_from_bool_array, rows_from_bool, words_from_bool)
 from .errors import CapExceeded, GroupGraphError
 from .groups import FiniteGroup, is_abelian
 from .primes import factorize, is_prime
@@ -169,10 +169,6 @@ class SubgroupLattice:
         """HK = KH, equivalently |HK| = |<H, K>|."""
         return self.product_size(h, k) == self.subgroups[self.join(h, k)].order
 
-    def conjugate_subgroup(self, sid: int, g: int) -> int:
-        image = self.group.conjugate_mask(self.subgroups[sid].mask, g)
-        return self.index_of[image]
-
     def conjugates(self, sid: int) -> tuple[int, ...]:
         return self.conj_classes[self.conj_class_of[sid]]
 
@@ -253,19 +249,23 @@ def _zuppos(group: FiniteGroup):
 def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
                      sub: Subgroup) -> list[Subgroup]:
     """The orbit of sub under conjugation by the conjugators, each member
-    with the conjugate of sub's gen_hint."""
+    with the conjugate of sub's gen_hint. Each subgroup taken off the
+    stack is conjugated by all conjugators in one gather."""
+    if not conjugators:
+        return [sub]
     conj = group.conj
+    gens = np.asarray(conjugators, dtype=np.int64)
     orbit = {sub.mask: sub}
-    stack = [sub]
+    stack = [(sub, bool_array_from_mask(sub.mask, group.order))]
     while stack:
-        s = stack.pop()
-        for g in conjugators:
-            mask = group.conjugate_mask(s.mask, g)
+        s, member = stack.pop()
+        images = group.conjugate_rows(member, gens)
+        for g, row, mask in zip(conjugators, images, rows_from_bool(images)):
             if mask not in orbit:
                 t = Subgroup(mask, s.order,
                              tuple(int(conj[g, i]) for i in s.gen_hint))
                 orbit[mask] = t
-                stack.append(t)
+                stack.append((t, row))
     return list(orbit.values())
 
 

@@ -11,7 +11,7 @@ from groupgraph.bits import bool_array_from_mask, iter_bits, lowest_bit
 from groupgraph.graphs import (KINDS, SubgroupGraph, build_graph,
                                star_reduction)
 from groupgraph.groups import FiniteGroup, is_abelian
-from groupgraph.lattice import Subgroup, _conjugacy_class, _zuppos
+from groupgraph.lattice import Subgroup, _zuppos
 from groupgraph.primes import is_prime
 
 
@@ -46,6 +46,78 @@ def per_element_tables(group) -> dict[str, np.ndarray]:
     return {"inv": inv, "conj": conj, "element_orders": orders}
 
 
+def composed_mul(group) -> np.ndarray:
+    """``mul`` with every one of the n² products composed from the
+    permutations, a block of rows at a time, looked up by the shortest
+    distinguishing prefix of point images (one ``searchsorted`` per prefix
+    position) and compared with the element found in full."""
+    n, degree = group.order, group.degree
+    points = np.array(group.elements,
+                      dtype=np.min_scalar_type(max(degree - 1, 0)))
+    points = points.reshape(n, degree)
+    differ = points[1:] != points[:-1]
+    depth = int(differ.argmax(axis=1).max()) + 1 if n > 1 else 0
+    levels = []
+    rank = np.zeros(n, dtype=np.int64)
+    for t in range(depth):
+        keys = rank * degree + points[:, t]
+        levels.append(np.unique(keys))
+        rank = np.searchsorted(levels[-1], keys)
+    table = np.empty((n, n), dtype=np.uint16 if n <= 65535 else np.uint32)
+    block = max(1, (1 << 16) // (n * max(degree, 1)))
+    for start in range(0, n, block):
+        rows = points[start:start + block]
+        # composed[r, j] = rows[r] followed by points[j]
+        composed = points[:, rows].transpose(1, 0, 2).reshape(
+            len(rows) * n, degree)
+        index = np.zeros(len(composed), dtype=np.int64)
+        for t, level in enumerate(levels):
+            index = np.searchsorted(level, index * degree + composed[:, t])
+        np.minimum(index, n - 1, out=index)
+        if not np.array_equal(points[index], composed):
+            raise ValueError("a product is missing from the element table")
+        table[start:start + len(rows)] = index.reshape(len(rows), n)
+    return table
+
+
+def conjugate_mask_by_bits(group, mask: int, g: int) -> int:
+    """g H g^-1 as a bitset, one member of H at a time through ``conj[g]``."""
+    row = group.conj[g]
+    out = 0
+    for i in iter_bits(mask):
+        out |= 1 << int(row[i])
+    return out
+
+
+def conjugacy_class_by_bits(group, conjugators, sub):
+    """The orbit of sub under conjugation by the conjugators, in the depth
+    first order of ``lattice._conjugacy_class``, each subgroup conjugated
+    one member at a time."""
+    orbit = {sub.mask: sub}
+    stack = [sub]
+    while stack:
+        s = stack.pop()
+        for g in conjugators:
+            mask = conjugate_mask_by_bits(group, s.mask, g)
+            if mask not in orbit:
+                t = Subgroup(mask, s.order,
+                             tuple(int(group.conj[g, i]) for i in s.gen_hint))
+                orbit[mask] = t
+                stack.append(t)
+    return list(orbit.values())
+
+
+def commutator_table_derived_mask(group, mask: int) -> int:
+    """The derived subgroup from the whole |H| x |H| commutator table."""
+    idx = np.array(list(iter_bits(mask)), dtype=np.int64)
+    mul, inv = group.mul, group.inv
+    step = mul[np.ix_(inv[idx], inv[idx])]
+    step = mul[step, idx[:, None]]
+    step = mul[step, idx[None, :]]
+    comms = np.unique(step)
+    return group.closure_mask(comms, comms)
+
+
 def cyclic_extension_lattice(group):
     """Neubüser's cyclic extension with no shortcut: every class
     representative is joined by ``closure_mask`` with every zuppo outside it
@@ -78,7 +150,7 @@ def cyclic_extension_lattice(group):
             joined = group.closure_mask(zmembers[z], hint, members)
             if joined not in found:
                 new = Subgroup(joined, joined.bit_count(), hint)
-                for s in _conjugacy_class(group, conjugators, new):
+                for s in conjugacy_class_by_bits(group, conjugators, new):
                     found[s.mask] = s
                     class_of[s.mask] = len(reps)
                 reps.append(new)

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import pytest
 
-from groupgraph import classify, realize
+from groupgraph import classify, graphs, realize
 from groupgraph.cache import load_or_compute
 from groupgraph.classify import (_verify_cyclic_factors,
-                                 derived_series_orders, is_abelian,
+                                 derived_series_orders,
+                                 derived_subgroup_mask, is_abelian,
                                  is_dedekind, is_iwasawa, is_nilpotent,
                                  is_simple, is_solvable, is_supersolvable)
 from groupgraph.corpus import tier_allows
 from groupgraph.errors import GroupGraphError
+from oracles import commutator_table_derived_mask
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -53,6 +57,36 @@ def test_is_nilpotent(make, text, expected):
 def test_is_solvable(make, text, expected):
     g, lat = make(text)
     assert is_solvable(g, lat) == expected
+
+
+def test_derived_subgroup_matches_the_commutator_table_on_the_fast_tier(
+        corpus, fast_report, shared_cache):
+    """The derived subgroup of every subgroup of every fast-tier lattice."""
+    checked = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if not tier_allows("fast", group.order):
+            continue
+        for s in load_or_compute(group, shared_cache)[0].subgroups:
+            assert derived_subgroup_mask(group, s.mask) \
+                == commutator_table_derived_mask(group, s.mask), entry.label
+        checked += 1
+    assert checked == len(fast_report.labels)
+
+
+def test_derived_subgroup_memory_stays_near_the_chunk_bound():
+    """psl2(8) is perfect, so its commutators are all 504² products; the
+    whole commutator table took 1.15 MB."""
+    group = realize("psl2(8)")
+    group.mul, group.inv
+    tracemalloc.start()
+    try:
+        derived = derived_subgroup_mask(group, (1 << group.order) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert derived == (1 << group.order) - 1
+    assert peak <= 4 * graphs.CHUNK_BYTES
 
 
 def test_derived_series_of_s4():

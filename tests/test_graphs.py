@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 from groupgraph import build_graph, graphs, realize, star_reduction
+from groupgraph.bits import iter_bits, mask_from_indices
 from groupgraph.cache import load_or_compute
 from groupgraph.corpus import tier_allows
 from groupgraph.errors import GroupGraphError, NotNormal
@@ -205,6 +206,24 @@ def test_semidirect_embedding_z5_z8(make):
     assert emb.source_graph.n == 2          # Z2 and Z4 inside Z8
     assert emb.source_graph.edge_count() == 0
     assert emb.is_induced_isomorphism()
+
+
+@pytest.mark.parametrize("text", [
+    "semidirect(cyclic(5), cyclic(8), z5_by_doubling)",
+    "semidirect(elem_abelian(2,3), elem_abelian(2,2), gap3249)"])
+def test_semidirect_embedding_maps_each_k1_to_h_k1(make, text):
+    """Each vertex K1 of D(K) goes to the vertex H K1 of D(G), the set
+    product formed one pair of elements at a time."""
+    g, lat = make(text)
+    emb = semidirect_embedding(lat)
+    h = list(iter_bits(g.semidirect_normal_mask))
+    assert emb.source_graph.n > 0
+    for pos, sid in enumerate(emb.source_graph.vertices):
+        k1 = [g.element_index[emb.source_group.elements[i]]
+              for i in iter_bits(emb.source_lattice.mask_of(sid))]
+        target = emb.target_graph.vertices[emb.vertex_map[pos]]
+        assert lat.mask_of(target) == mask_from_indices(
+            int(g.mul[x, y]) for x in h for y in k1)
 
 
 def test_semidirect_embedding_empty_for_prime_complement(make):

@@ -2,14 +2,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupgraph import (FiniteGroup, enumerate_elements, quotient_group,
-                        realize, stabilizer_chain_order)
+from groupgraph import (FiniteGroup, all_subgroups, enumerate_elements,
+                        quotient_group, realize, stabilizer_chain_order)
+from groupgraph.corpus import tier_allows
 from groupgraph.errors import CapExceeded, NotNormal, RealizeError
 from groupgraph.groups import (TableError, quotient_with_projection,
                                subgroup_group)
-from groupgraph.perms import compose, identity, parse_cycles
-from oracles import left_coset_reps, per_element_tables, quotient_differences
+from groupgraph.perms import compose, format_cycles, identity, parse_cycles
+from oracles import (composed_mul, left_coset_reps, per_element_tables,
+                     quotient_differences)
 
 
 def test_enumerate_identity_only():
@@ -63,6 +67,70 @@ def test_mul_matches_compose(text):
     expected = [[g.element_index[compose(p, q)] for q in g.elements]
                 for p in g.elements]
     assert np.array_equal(g.mul, np.array(expected))
+
+
+def assert_mul_matches_the_all_pairs_composer(group, name=""):
+    expected = composed_mul(group)
+    assert group.mul.dtype == expected.dtype, name
+    assert np.array_equal(group.mul, expected), name
+
+
+def test_mul_matches_the_all_pairs_composer_on_the_fast_tier(corpus,
+                                                             fast_report):
+    checked = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if tier_allows("fast", group.order):
+            assert_mul_matches_the_all_pairs_composer(group, entry.label)
+            checked += 1
+    assert checked == len(fast_report.labels)
+
+
+@pytest.mark.parametrize("text", ["psl2(8)", "psl2(13)"])
+def test_mul_matches_the_all_pairs_composer(text):
+    assert_mul_matches_the_all_pairs_composer(realize(text))
+
+
+def test_mul_matches_the_all_pairs_composer_on_quotients_and_subgroups(
+        mini_corpus):
+    tables = 0
+    for entry in mini_corpus:
+        group = realize(entry.spec)
+        lat = all_subgroups(group)
+        for sid, sub in enumerate(lat.subgroups):
+            name = f"{entry.label}[{sid}]"
+            assert_mul_matches_the_all_pairs_composer(
+                subgroup_group(group, sub.mask, sub.gen_hint), name)
+            if lat.is_normal[sid]:
+                assert_mul_matches_the_all_pairs_composer(
+                    quotient_group(group, sub.mask), name + " quotient")
+                tables += 1
+            tables += 1
+    assert tables == 435
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda d: st.lists(
+    st.permutations(range(d)), min_size=1, max_size=3)))
+def test_random_group_mul_matches_the_all_pairs_composer(gens):
+    group = realize("raw(" + ", ".join(format_cycles(tuple(g)) for g in gens)
+                    + ")")
+    assert_mul_matches_the_all_pairs_composer(group)
+
+
+def test_mul_of_the_degree_zero_group():
+    group = realize("raw(())")
+    assert (group.order, group.degree) == (1, 0)
+    assert group.mul.tolist() == [[0]]
+    assert_mul_matches_the_all_pairs_composer(group)
+
+
+def test_mul_rejects_generators_that_do_not_generate_the_table():
+    three_cycle = parse_cycles("(0 1 2)", 3)
+    g = FiniteGroup([identity(3)], elements=[
+        identity(3), three_cycle, compose(three_cycle, three_cycle)])
+    with pytest.raises(TableError, match="do not generate"):
+        g.mul
 
 
 def test_mul_rejects_a_table_that_is_not_closed():

@@ -3,11 +3,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupgraph import all_subgroups, realize
+from groupgraph.bits import bool_rows, rows_from_bool
+from groupgraph.cache import load_or_compute
+from groupgraph.corpus import tier_allows
 from groupgraph.errors import CapExceeded, GroupGraphError
+from groupgraph.graphs import conjugation_vertex_map
 from groupgraph.groups import FiniteGroup, quotient_group
 from groupgraph.perms import format_cycles, parse_cycles
-from oracles import (brute_force_subgroup_masks, cyclic_extension_lattice,
-                     pair_loop_mismatches)
+from oracles import (brute_force_subgroup_masks, conjugate_mask_by_bits,
+                     cyclic_extension_lattice, pair_loop_mismatches)
 
 
 @pytest.mark.parametrize("text,count", [
@@ -144,6 +148,32 @@ def test_conjugation_permutes_lattice(make):
                 inc = lat.supersets[i] >> j & 1
                 inc_img = lat.supersets[mapped[i]] >> mapped[j] & 1
                 assert inc == inc_img
+
+
+def test_conjugation_pull_back_matches_the_per_bit_loop_on_the_fast_tier(
+        corpus, fast_report, shared_cache):
+    """Every subgroup of every fast-tier lattice, read from the cache the
+    fast-tier report filled, conjugated by every generator: the pull-back
+    rows, ``conjugate_mask`` and the vertex map of T-2.2c against the
+    loop over members."""
+    checked = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if not tier_allows("fast", group.order):
+            continue
+        lat = load_or_compute(group, shared_cache)[0]
+        masks = [s.mask for s in lat.subgroups]
+        members = bool_rows(masks, group.order)
+        for g in group.generator_indices():
+            expected = [conjugate_mask_by_bits(group, m, g) for m in masks]
+            assert rows_from_bool(group.conjugate_rows(members, g)) \
+                == expected, entry.label
+            assert [group.conjugate_mask(m, g) for m in masks] == expected
+            assert conjugation_vertex_map(lat, g) == [
+                lat.index_of[expected[sid]] - 1
+                for sid in lat.nontrivial_proper_ids()], entry.label
+        checked += 1
+    assert checked == len(fast_report.labels)
 
 
 @pytest.mark.parametrize("text", [

@@ -1,7 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import groupgraph
+from conftest import MINI_MANIFEST
+
+SRC = Path(groupgraph.__file__).resolve().parent.parent
 
 
 def test_package_has_no_assert_statements():
@@ -12,3 +18,25 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_a_bundle_and_a_corpus_run_never_import_numpy_ma():
+    """A plain ``np.unique(x)`` imports ``numpy.ma`` (15-19 ms on numpy
+    2.4), a cost every process would pay; the package calls none."""
+    script = """if True:
+        import sys
+        from groupgraph import harness
+        from groupgraph.corpus import parse_manifest
+        bundle = harness.build_bundle("psl2_7", "psl2(7)")
+        verdicts = [harness.verify(c, bundle)
+                    for c in harness.REGISTRY.values()]
+        assert len(verdicts) == 28
+        harness.run_corpus(parse_manifest(sys.stdin.read()), tier="fast")
+        print("numpy.ma" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            input=MINI_MANIFEST, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
