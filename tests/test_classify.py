@@ -75,8 +75,8 @@ def test_derived_subgroup_matches_the_commutator_table_on_the_fast_tier(
 
 
 def test_derived_subgroup_memory_stays_near_the_chunk_bound():
-    """psl2(8) is perfect, so its commutators are all 504² products; the
-    whole commutator table took 1.15 MB."""
+    """psl2(8) is perfect, and its 504² commutators as whole tables of
+    products peak at 1.15 MB."""
     group = realize("psl2(8)")
     group.mul, group.inv
     tracemalloc.start()
