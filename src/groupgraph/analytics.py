@@ -34,16 +34,6 @@ class Graph:
     adj: tuple[int, ...]
 
 
-def graph_from_edges(n: int, edges) -> Graph:
-    adj = [0] * n
-    for i, j in edges:
-        if i == j:
-            raise ValueError("no loops")
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
-
-
 def complement(g) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, tuple(full & ~g.adj[i] & ~(1 << i) for i in range(g.n)))

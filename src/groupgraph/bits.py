@@ -7,6 +7,9 @@ from typing import Iterator
 
 import numpy as np
 
+# bound on the bytes of each temporary of a pass over blocks of rows
+CHUNK_BYTES = 256 * 1024
+
 
 def mask_from_indices(indices) -> int:
     m = 0
@@ -36,7 +39,7 @@ def lowest_bit(mask: int) -> int:
 
 def bool_array_from_mask(mask: int, size: int) -> np.ndarray:
     raw = np.frombuffer(mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:size].astype(bool)
+    return np.unpackbits(raw, count=size, bitorder="little").view(bool)
 
 
 def bool_rows(rows, size: int) -> np.ndarray:
@@ -44,7 +47,7 @@ def bool_rows(rows, size: int) -> np.ndarray:
     nbytes = (size + 7) // 8
     raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
                         dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, :size].astype(bool)
+    return np.unpackbits(raw, axis=1, count=size, bitorder="little").view(bool)
 
 
 def rows_from_bool(matrix: np.ndarray) -> list[int]:

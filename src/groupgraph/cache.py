@@ -24,7 +24,7 @@ FORMAT_VERSION = "3"
 
 
 def table_digest(group: FiniteGroup) -> str:
-    return hashlib.sha256(group.table_bytes()).hexdigest()
+    return group.table_digest
 
 
 def lattice_to_text(lat: SubgroupLattice) -> str:
@@ -58,7 +58,7 @@ def lattice_from_text(group: FiniteGroup, text: str) -> SubgroupLattice:
         kind, _, rest = line.partition(" ")
         if kind == "sub":
             order_s, mask_hex, hint_s = rest.split()
-            hint = () if hint_s == "-" else tuple(int(i) for i in hint_s.split(","))
+            hint = () if hint_s == "-" else tuple(map(int, hint_s.split(",")))
             subgroups.append(Subgroup(int(mask_hex, 16), int(order_s), hint))
         elif kind == "conj":
             conj = [int(c) for c in rest.split()]

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import bool_array_from_mask, row_blocks
+from .bits import CHUNK_BYTES, bool_array_from_mask, row_blocks
 from .errors import CriteriaDisagreement, GroupGraphError
-from .graphs import CHUNK_BYTES
 from .groups import FiniteGroup, is_abelian
 from .lattice import SubgroupLattice
 from .primes import factorize, is_prime
@@ -52,13 +51,6 @@ def p_group_prime(group: FiniteGroup) -> int | None:
 
 def is_dedekind(group: FiniteGroup, lat: SubgroupLattice) -> bool:
     return all(lat.is_normal)
-
-
-def is_iwasawa(group: FiniteGroup, lat: SubgroupLattice) -> bool:
-    """Every pair of subgroups permutes: HK = KH as sets."""
-    if is_dedekind(group, lat):
-        return True
-    return _iwasawa_witness(lat) is None
 
 
 def _iwasawa_witness(lat: SubgroupLattice) -> tuple[int, int] | None:
@@ -110,10 +102,6 @@ def derived_series_orders(group: FiniteGroup) -> list[int]:
         orders.append(mask.bit_count())
         if mask == 1:
             return orders
-
-
-def is_solvable(group: FiniteGroup, lat: SubgroupLattice | None = None) -> bool:
-    return derived_series_orders(group)[-1] == 1
 
 
 def _prime_chain_to_full(lat: SubgroupLattice) -> list[int] | None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import perms
 from .analytics import is_induced_map, without_isolated
-from .bits import (bool_array_from_mask, bool_rows, iter_bits,
+from .bits import (CHUNK_BYTES, bool_array_from_mask, iter_bits,
                    mask_from_bool_array, row_blocks, rows_from_bool,
                    words_from_bool)
 from .cache import table_digest
@@ -41,8 +41,6 @@ from .groups import FiniteGroup, quotient_with_projection, subgroup_group
 from .lattice import SubgroupLattice, all_subgroups
 
 KINDS = ("gamma", "delta", "difference", "difference_star")
-# bound on the bytes of each pairwise temporary of build_graph
-CHUNK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -123,10 +121,12 @@ def conjugation_vertex_map(lat: SubgroupLattice, g_elem: int) -> list[int]:
     """The permutation H -> g H g^-1 of the standard vertex set (all
     nontrivial proper subgroups), as a list over vertex positions; every
     vertex is conjugated in one gather."""
-    vertices = lat.nontrivial_proper_ids()
-    members = bool_rows([lat.mask_of(sid) for sid in vertices], lat.group.order)
+    # vertex ids run from 1 to full_id - 1, so their words are one slice
+    # and position = id - 1
+    words = lat.member_words[1:lat.full_id]
+    members = np.unpackbits(words.view(np.uint8), axis=1,
+                            count=lat.group.order).view(bool)
     images = lat.group.conjugate_rows(members, g_elem)
-    # vertex ids run from 1 to full_id - 1, so position = id - 1
     return [lat.index_of[mask] - 1 for mask in rows_from_bool(images)]
 
 

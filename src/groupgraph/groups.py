@@ -15,10 +15,17 @@ because the generator rows are. Inverses and conjugation are gathers of
 that table, and so is conjugating a subgroup: x lies in g H g^-1 exactly
 when g^-1 x g lies in H, so H's membership row is pulled back through
 ``conj[g^-1]``.
+
+The element table is a breadth-first closure of the generators, and
+``stabilizer_chain_order`` certifies its size with Sims' chain: per level
+it composes a transversal element, a generator and the inverse (taken once
+per level) of the transversal element at the image point, and keeps every
+such Schreier generator but the identity, the textbook generator sets.
 """
 
 from __future__ import annotations
 
+import hashlib
 from functools import cached_property
 
 import numpy as np
@@ -78,12 +85,13 @@ def stabilizer_chain_order(generators) -> int:
     generator sets small at this scale.
     """
     gens = {perms.check_permutation(g) for g in generators}
-    gens.discard(perms.identity(len(next(iter(gens)))))
+    degree = len(next(iter(gens)))
+    ident = perms.identity(degree)
+    gens.discard(ident)
     order = 1
     while gens:
-        degree = len(next(iter(gens)))
         base = min(i for g in gens for i in range(degree) if g[i] != i)
-        transversal = {base: perms.identity(degree)}
+        transversal = {base: ident}
         frontier = [base]
         gen_list = sorted(gens)
         while frontier:
@@ -97,12 +105,12 @@ def stabilizer_chain_order(generators) -> int:
                         nxt.append(img)
             frontier = nxt
         order *= len(transversal)
+        inverse = {pt: perms.inverse(rep) for pt, rep in transversal.items()}
         stab_gens = set()
         for pt, rep in transversal.items():
             for g in gen_list:
-                coset_rep = transversal[g[pt]]
-                schreier = perms.compose(perms.compose(rep, g), perms.inverse(coset_rep))
-                if any(i != j for i, j in enumerate(schreier)):
+                schreier = perms.compose(perms.compose(rep, g), inverse[g[pt]])
+                if schreier != ident:
                     stab_gens.add(schreier)
         gens = stab_gens
     return order
@@ -254,11 +262,6 @@ class FiniteGroup:
         H, so each image is ``member`` gathered at ``conj[inv[g]]``."""
         return member[..., self.conj[self.inv[g]]]
 
-    def conjugate_mask(self, mask: int, g: int) -> int:
-        """The bitset g H g^-1 of the bitset H."""
-        return mask_from_bool_array(
-            self.conjugate_rows(bool_array_from_mask(mask, self.order), g))
-
     def closure_mask(self, seed_indices, generator_indices,
                      subgroup=None) -> int:
         """Subgroup generated by the generator indices, seeded with known members.
@@ -287,12 +290,16 @@ class FiniteGroup:
         half = n // 2
         frontier = np.zeros(1, dtype=np.int64)  # H itself, as the coset H·1
         fresh = np.asarray(list(seed_indices), dtype=np.int64)
+        # distinct right cosets are disjoint, so their minima tell them
+        # apart: any one fresh element per minimum wins a scatter into slot
+        slot = np.empty(n, dtype=np.int64)
         while True:
             fresh = fresh[~visited[fresh]]
             if fresh.size:
                 cosets = mul[base[:, None], fresh]
-                # distinct right cosets are disjoint: their minima tell them apart
-                _, first = np.unique(cosets.min(axis=0), return_index=True)
+                minima = cosets.min(axis=0)
+                slot[minima] = np.arange(fresh.size)
+                first = np.flatnonzero(slot[minima] == np.arange(fresh.size))
                 visited[cosets[:, first]] = True
                 count += int(base.size * first.size)
                 if count > half:
@@ -328,6 +335,13 @@ class FiniteGroup:
                 "table encoding holds points below 65536 only")
         head = self.degree.to_bytes(4, "little") + self.order.to_bytes(4, "little")
         return head + np.asarray(self.elements, dtype="<u2").tobytes()
+
+    @cached_property
+    def table_digest(self) -> str:
+        """SHA-256 of ``table_bytes`` in hex. The element tuple is
+        immutable, so the table is encoded once; only the digest is kept,
+        and a table that cannot be encoded raises on every call."""
+        return hashlib.sha256(self.table_bytes()).hexdigest()
 
 
 def is_abelian(group: FiniteGroup) -> bool:

@@ -769,12 +769,16 @@ def _hunt_h3(bundles):
 
 
 def _hunt_h4(bundles):
+    """Bounded perfectness scan of each difference graph with an edge but
+    a cograph, which has no induced P4: four consecutive vertices of a hole
+    on 5 or more vertices induce a P4, and in the antihole they induce its
+    complement, which is a P4 again."""
     findings = []
     for b in bundles:
         if b.report.edge_count == 0:
             continue
         try:
-            hole = an.find_odd_hole_or_antihole(
+            hole = None if b.report.cograph else an.find_odd_hole_or_antihole(
                 b.difference, max_length=11, budget=HOLE_SCAN_BUDGET)
         except BudgetExceeded:
             findings.append(HuntFinding(

@@ -58,8 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import (bool_array_from_mask, indices_from_mask, lowest_bit,
-                   mask_from_bool_array, rows_from_bool, words_from_bool)
+from .bits import (CHUNK_BYTES, bool_array_from_mask, bool_rows,
+                   indices_from_mask, lowest_bit, mask_from_bool_array,
+                   row_blocks, rows_from_bool, words_from_bool)
 from .errors import CapExceeded, GroupGraphError
 from .groups import FiniteGroup, is_abelian
 from .primes import factorize, is_prime
@@ -87,9 +88,8 @@ class SubgroupLattice:
         self.index_of = {s.mask: i for i, s in enumerate(subgroups)}
         self.trivial_id = 0
         self.full_id = len(subgroups) - 1
-        self._members = [np.array(s.member_indices(), dtype=np.int64)
-                         for s in subgroups]
-        # each subgroup's members packed into uint64 words, by id
+        # each subgroup's member indices and packed uint64 member words, by id
+        self._members: list[np.ndarray] = []
         self.member_words = np.empty((0, 0), dtype=np.uint64)
         self.supersets: list[int] = []
         # class labels number the classes in order of their lowest id
@@ -129,18 +129,24 @@ class SubgroupLattice:
             self.frattini_id = self.full_id
 
     def _compute_inclusion(self) -> None:
-        n = len(self.subgroups)
+        """Members, member words and supersets from one unpacking of the
+        masks. The members of all subgroups come from one ``np.nonzero``
+        of the membership matrix, split where each subgroup's row ends.
+        H lies in K when H AND NOT K is empty, word by word; the test runs
+        a block of rows of H against every K at a time, so that each
+        temporary stays within CHUNK_BYTES."""
         order = self.group.order
-        members = np.zeros((n, order), dtype=bool)
-        for i, idx in enumerate(self._members):
-            members[i, idx] = True
-        words = self.member_words = words_from_bool(members)
+        membership = bool_rows([s.mask for s in self.subgroups], order)
+        members = np.flatnonzero(membership)
+        np.remainder(members, order, out=members)
+        ends = np.cumsum(np.count_nonzero(membership, axis=1)).tolist()
+        self._members = [members[a:b] for a, b in zip([0] + ends, ends)]
+        words = self.member_words = words_from_bool(membership)
+        outside = ~words
         self.supersets = []
-        for i in range(n):
-            covered = ((words[i] & ~words) == 0).all(axis=1)
-            self.supersets.append(
-                int.from_bytes(np.packbits(covered, bitorder="little").tobytes(),
-                               "little"))
+        for block in row_blocks(len(words), outside.nbytes, CHUNK_BYTES):
+            covered = ~(words[block, None] & outside).any(axis=2)
+            self.supersets.extend(rows_from_bool(covered))
 
     def _compute_sylow(self) -> None:
         self.sylow_index = {
@@ -185,12 +191,6 @@ class SubgroupLattice:
 
     def maximal_subgroups(self) -> list[int]:
         return [i for i, flag in enumerate(self.is_maximal) if flag]
-
-    def sylow_subgroups(self, p: int) -> list[int]:
-        if p not in self.sylow_index:
-            raise GroupGraphError(f"{p} does not divide the group order "
-                                  f"{self.group.order}")
-        return list(self.sylow_index[p])
 
     def frattini(self) -> int:
         return self.frattini_id

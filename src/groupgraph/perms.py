@@ -8,7 +8,7 @@ so it always lands at index 0 of a sorted element table.
 from __future__ import annotations
 
 import re
-from math import lcm
+from operator import itemgetter
 
 from .errors import GroupGraphError
 
@@ -36,7 +36,11 @@ def check_permutation(images) -> Perm:
 
 
 def compose(p: Perm, q: Perm) -> Perm:
-    """Apply p, then q."""
+    """Apply p, then q: ``q`` read at the images of ``p``, in C. Degrees 0
+    and 1 keep the tuple form, as ``itemgetter`` takes at least one index
+    and returns a bare item for exactly one."""
+    if len(p) > 1:
+        return itemgetter(*p)(q)
     return tuple(q[i] for i in p)
 
 
@@ -58,10 +62,6 @@ def power(p: Perm, k: int) -> Perm:
         base = compose(base, base)
         k >>= 1
     return result
-
-
-def perm_order(p: Perm) -> int:
-    return lcm(*(len(c) for c in cycles(p))) if any(i != j for i, j in enumerate(p)) else 1
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:

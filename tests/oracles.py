@@ -1,18 +1,84 @@
 """Independent reference implementations the tests compare against."""
 
 from itertools import combinations
-from math import log2
+from math import lcm, log2
 
 import numpy as np
 
 from groupgraph import perms
-from groupgraph.analytics import Graph, graph_from_edges
-from groupgraph.bits import bool_array_from_mask, iter_bits, lowest_bit
+from groupgraph.analytics import Graph
+from groupgraph.bits import (bool_array_from_mask, iter_bits, lowest_bit,
+                             mask_from_bool_array, words_from_bool)
+from groupgraph.classify import (_iwasawa_witness, derived_series_orders,
+                                 is_dedekind)
+from groupgraph.errors import GroupGraphError
 from groupgraph.graphs import (KINDS, SubgroupGraph, build_graph,
                                star_reduction)
 from groupgraph.groups import FiniteGroup, is_abelian
 from groupgraph.lattice import Subgroup, _zuppos
 from groupgraph.primes import is_prime
+
+
+# -- small helpers the package itself does not need ----------------------------
+
+
+def graph_from_edges(n: int, edges) -> Graph:
+    adj = [0] * n
+    for i, j in edges:
+        if i == j:
+            raise ValueError("no loops")
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
+
+
+def perm_order(p) -> int:
+    return lcm(*(len(c) for c in perms.cycles(p))) \
+        if any(i != j for i, j in enumerate(p)) else 1
+
+
+def is_solvable(group, lat=None) -> bool:
+    return derived_series_orders(group)[-1] == 1
+
+
+def is_iwasawa(group, lat) -> bool:
+    """Every pair of subgroups permutes: HK = KH as sets."""
+    if is_dedekind(group, lat):
+        return True
+    return _iwasawa_witness(lat) is None
+
+
+def sylow_subgroups(lat, p: int) -> list[int]:
+    if p not in lat.sylow_index:
+        raise GroupGraphError(f"{p} does not divide the group order "
+                              f"{lat.group.order}")
+    return list(lat.sylow_index[p])
+
+
+def conjugate_mask(group, mask: int, g: int) -> int:
+    """The bitset g H g^-1 of the bitset H, through ``conjugate_rows``."""
+    return mask_from_bool_array(
+        group.conjugate_rows(bool_array_from_mask(mask, group.order), g))
+
+
+def inclusion_by_rows(lat):
+    """``_members``, ``member_words`` and ``supersets`` of a lattice built
+    one subgroup at a time: members from each mask's bits, and the
+    supersets of H from one subset test of H's words against every
+    subgroup's."""
+    order = lat.group.order
+    members = [np.array(s.member_indices(), dtype=np.int64)
+               for s in lat.subgroups]
+    member = np.zeros((len(members), order), dtype=bool)
+    for i, idx in enumerate(members):
+        member[i, idx] = True
+    words = words_from_bool(member)
+    supersets = []
+    for i in range(len(members)):
+        covered = ((words[i] & ~words) == 0).all(axis=1)
+        supersets.append(int.from_bytes(
+            np.packbits(covered, bitorder="little").tobytes(), "little"))
+    return members, words, supersets
 
 
 def brute_force_subgroup_masks(group, max_generators=None) -> set[int]:
@@ -41,7 +107,7 @@ def per_element_tables(group) -> dict[str, np.ndarray]:
     conj = np.empty_like(mul)
     for g in range(group.order):
         conj[g] = mul[mul[g], inv[g]]
-    orders = np.array([perms.perm_order(p) for p in group.elements],
+    orders = np.array([perm_order(p) for p in group.elements],
                       dtype=np.int64)
     return {"inv": inv, "conj": conj, "element_orders": orders}
 

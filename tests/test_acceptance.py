@@ -16,13 +16,13 @@ from groupgraph import (all_subgroups, build_graph, classify,
                         find_gap3249_action, graphs_isomorphic, realize,
                         star_reduction)
 from groupgraph import analytics as an
-from groupgraph.classify import is_iwasawa
 from groupgraph.cli import _json as cli_json
 from groupgraph.cli import main as cli_main
 from groupgraph.errors import BudgetExceeded
 from groupgraph import specs
 from groupgraph.specs import ACTIONS
-from oracles import brute_force_subgroup_masks, cycle_graph, find_induced_p4
+from oracles import (brute_force_subgroup_masks, cycle_graph, find_induced_p4,
+                     graph_from_edges, is_iwasawa)
 
 
 def test_acceptance_01_subgroup_counts(make):
@@ -220,7 +220,7 @@ def test_acceptance_10_oracle_equivalence(corpus, make, dgraph):
         p = rng.uniform(0.1, 0.9)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
-        g = an.graph_from_edges(n, edges)
+        g = graph_from_edges(n, edges)
         assert an.clique_number(g) == \
             an.independence_number(an.complement(g)), trial
     print(f"ACCEPTANCE 10: PASS - brute-force lattice agreement on {small} "

@@ -10,14 +10,14 @@ from groupgraph import analytics as an
 from groupgraph.bits import iter_bits
 from groupgraph.analytics import (INF, Graph, complement, components,
                                   find_claw, find_odd_hole_or_antihole, girth,
-                                  graph_from_edges, graphs_isomorphic,
+                                  graphs_isomorphic,
                                   independence_number, is_bipartite,
                                   is_clawfree, is_cograph, is_cycle,
                                   is_induced_map, max_clique,
                                   universal_vertices)
 from groupgraph.errors import BudgetExceeded, CriteriaDisagreement
 from oracles import (complete_graph, cycle_graph, find_induced_p4,
-                     has_induced_odd_cycle, induces_cycle,
+                     graph_from_edges, has_induced_odd_cycle, induces_cycle,
                      is_induced_map_by_pairs, networkx_invariants,
                      path_graph, report_invariants)
 
@@ -332,6 +332,27 @@ def test_odd_hole_scan_matches_brute_force(g, max_length):
         assert found is None
     if found is not None:
         assert_valid_witness(g, found, max_length)
+
+
+def join(g, h):
+    """``g`` and ``h`` side by side with every edge between them."""
+    return complement(disjoint_union(complement(g), complement(h)))
+
+
+cographs = st.recursive(
+    st.just(Graph(1, (0,))),
+    lambda parts: st.tuples(st.sampled_from([disjoint_union, join]),
+                            parts, parts).map(lambda t: t[0](t[1], t[2])),
+    max_leaves=14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cographs)
+def test_odd_hole_scan_finds_none_on_cographs(g):
+    """Cographs, built from single vertices by disjoint union and join,
+    have no induced P4, so no odd hole or antihole: H-4 skips their scan."""
+    assert is_cograph(g) and find_induced_p4(g) is None
+    assert find_odd_hole_or_antihole(g) is None
 
 
 # -- isomorphism -------------------------------------------------------------------

@@ -8,6 +8,7 @@ from groupgraph.cache import (FORMAT_VERSION, cache_path, lattice_from_text,
                               lattice_to_text, load_or_compute, table_digest)
 from groupgraph.cli import main as cli_main
 from groupgraph.errors import CacheError
+from groupgraph.groups import FiniteGroup
 
 
 def test_roundtrip_is_bit_identical(tmp_path):
@@ -55,9 +56,30 @@ def test_table_digest_is_pinned():
         "b4657bdff3672140743e4a7381f22335808bcb111d1eac701f93aedf8dfb4884")
 
 
+def test_element_table_is_encoded_once_per_group(tmp_path, monkeypatch):
+    group = realize("psl2(7)")
+    encoded = []
+    real = FiniteGroup.table_bytes
+
+    def spy(self):
+        encoded.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FiniteGroup, "table_bytes", spy)
+    lat, _ = load_or_compute(group, tmp_path)
+    assert lattice_from_text(group, lattice_to_text(lat)).subgroups \
+        == lat.subgroups
+    assert load_or_compute(group, tmp_path)[1]
+    assert cache_path(tmp_path, group).name == table_digest(group) + ".lattice"
+    assert encoded == [group]
+    assert table_digest(group) == hashlib.sha256(real(group)).hexdigest()
+
+
 def test_degree_beyond_16_bits_is_a_cache_error(tmp_path, capsys):
-    with pytest.raises(CacheError, match="degree 70001"):
-        table_digest(realize("raw((0 70000))"))
+    wide = realize("raw((0 70000))")
+    for _ in range(2):  # a failed encoding leaves no digest behind
+        with pytest.raises(CacheError, match="degree 70001"):
+            table_digest(wide)
     code = cli_main(["group", "raw((0 70000))", "--cache", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1

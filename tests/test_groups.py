@@ -60,6 +60,29 @@ def test_stabilizer_chain_order(text, order):
     assert stabilizer_chain_order(g.generators) == order == g.order
 
 
+def sympy_order(generators) -> int:
+    from sympy.combinatorics import Permutation, PermutationGroup
+    return PermutationGroup([Permutation(list(g)) for g in generators]).order()
+
+
+def test_stabilizer_chain_order_matches_sympy(corpus):
+    """Every manifest spec and four groups beyond the fast tier."""
+    specs = [entry.spec for entry in corpus]
+    specs += ["psl2(8)", "psl2(11)", "symmetric(6)", "alternating(6)"]
+    for spec in specs:
+        generators = realize(spec).generators
+        assert stabilizer_chain_order(generators) == sympy_order(generators), \
+            str(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda d: st.lists(
+    st.permutations(range(d)), min_size=1, max_size=3)))
+def test_stabilizer_chain_order_matches_sympy_on_random_generators(gens):
+    gens = [tuple(g) for g in gens]
+    assert stabilizer_chain_order(gens) == sympy_order(gens)
+
+
 @pytest.mark.parametrize("text", [
     "cyclic(64)", "direct(dihedral(4), cyclic(3))", "psl2(8)"])
 def test_mul_matches_compose(text):
@@ -184,7 +207,8 @@ def _subgroup_mask(group, predicate):
 
 def test_quotient_s4_by_v4():
     s4 = realize("symmetric(4)")
-    from groupgraph.perms import cycles, perm_order
+    from groupgraph.perms import cycles
+    from oracles import perm_order
     v4 = _subgroup_mask(
         s4, lambda p: perm_order(p) == 1
         or (perm_order(p) == 2 and len(cycles(p)) == 2))
@@ -203,14 +227,14 @@ def test_quotient_by_trivial_is_regular():
 
 def test_quotient_z6_by_z3():
     z6 = realize("cyclic(6)")
-    from groupgraph.perms import perm_order
+    from oracles import perm_order
     z3 = _subgroup_mask(z6, lambda p: perm_order(p) in (1, 3))
     assert quotient_group(z6, z3).order == 2
 
 
 def test_quotient_rejects_non_normal():
     s3 = realize("dihedral(3)")
-    from groupgraph.perms import perm_order
+    from oracles import perm_order
     z2 = 1 | (1 << s3.element_index[parse_cycles("(1 2)", 3)])
     with pytest.raises(NotNormal):
         quotient_group(s3, z2)
@@ -225,7 +249,7 @@ def test_quotient_projection_maps_subgroups():
     q, proj = quotient_with_projection(g, center)
     assert q.order == 6
     # preimages of subgroups of the quotient are subgroups of g
-    from groupgraph.perms import perm_order
+    from oracles import perm_order
     image_z3 = {int(proj[i]) for i, p in enumerate(g.elements)
                 if perm_order(p) in (1, 3)}
     preimage = 0
@@ -237,7 +261,8 @@ def test_quotient_projection_maps_subgroups():
 
 def test_subgroup_group_materializes():
     s4 = realize("symmetric(4)")
-    from groupgraph.perms import cycles, perm_order
+    from groupgraph.perms import cycles
+    from oracles import perm_order
     a4 = _subgroup_mask(
         s4, lambda p: sum(len(c) - 1 for c in cycles(p)) % 2 == 0)
     sub = subgroup_group(s4, a4)
@@ -257,7 +282,8 @@ def _per_element_projection(g, q, normal_mask):
 
 def _normal_subgroup_cases():
     from groupgraph.lattice import all_subgroups
-    from groupgraph.perms import cycles, perm_order
+    from groupgraph.perms import cycles
+    from oracles import perm_order
     s4 = realize("symmetric(4)")
     v4 = _subgroup_mask(
         s4, lambda p: perm_order(p) == 1

@@ -373,6 +373,42 @@ def test_hunt_h4_bounded_perfectness(mini_corpus):
     assert all(f.status == "supporting" for f in findings)
 
 
+def test_odd_hole_scan_finds_none_on_fast_tier_cographs(corpus, fast_report,
+                                                       shared_cache):
+    """Every fast-tier D that ``analyze`` reports as a cograph has no odd
+    hole or antihole, which is why H-4 does not scan it."""
+    cographs = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if not tier_allows("fast", group.order):
+            continue
+        lat, _ = cache.load_or_compute(group, shared_cache)
+        difference = graphs.build_graph(lat, "difference")
+        report = an.analyze(difference)
+        if report.cograph and report.edge_count:
+            assert an.find_odd_hole_or_antihole(difference) is None, \
+                entry.label
+            cographs += 1
+    assert cographs == 29
+
+
+def test_hunt_h4_scans_only_graphs_that_are_not_cographs(mini_corpus,
+                                                         monkeypatch):
+    scanned = []
+    real = an.find_odd_hole_or_antihole
+
+    def spy(g, *args, **kwargs):
+        scanned.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(an, "find_odd_hole_or_antihole", spy)
+    findings = hunt("H-4", mini_corpus)
+    assert scanned and not any(an.is_cograph(g) for g in scanned)
+    assert [f.groups for f in findings] == [
+        ("s3",), ("d4",), ("a4",), ("s3xz5",), ("s3xz7",), ("es27_exp3",),
+        ("gap_32_49_like",)]
+
+
 def test_hunt_h5(mini_corpus):
     findings = hunt("H-5", mini_corpus)
     a5 = [f for f in findings if f.groups == ("a5",)]

@@ -1,17 +1,22 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupgraph import all_subgroups, realize
-from groupgraph.bits import bool_rows, rows_from_bool
+from groupgraph.bits import CHUNK_BYTES, bool_rows, rows_from_bool
 from groupgraph.cache import load_or_compute
 from groupgraph.corpus import tier_allows
 from groupgraph.errors import CapExceeded, GroupGraphError
 from groupgraph.graphs import conjugation_vertex_map
 from groupgraph.groups import FiniteGroup, quotient_group
+from groupgraph.lattice import SubgroupLattice
 from groupgraph.perms import format_cycles, parse_cycles
-from oracles import (brute_force_subgroup_masks, conjugate_mask_by_bits,
-                     cyclic_extension_lattice, pair_loop_mismatches)
+from oracles import (brute_force_subgroup_masks, conjugate_mask,
+                     conjugate_mask_by_bits, cyclic_extension_lattice,
+                     inclusion_by_rows, pair_loop_mismatches, sylow_subgroups)
 
 
 @pytest.mark.parametrize("text,count", [
@@ -58,8 +63,8 @@ def test_join_examples_in_d4(make):
 
 def test_product_size_v4_z3_in_a4(make):
     _, lat = make("alternating(4)")
-    v4 = lat.sylow_subgroups(2)[0]
-    z3 = lat.sylow_subgroups(3)[0]
+    v4 = sylow_subgroups(lat, 2)[0]
+    z3 = sylow_subgroups(lat, 3)[0]
     assert lat.product_size(v4, z3) == 12
 
 
@@ -79,7 +84,7 @@ def test_normalizer_examples(make):
         if lat.is_normal[sid]:
             assert lat.normalizer(sid) == lat.full_id
     _, lat3 = make("dihedral(3)")
-    syl2 = lat3.sylow_subgroups(2)[0]
+    syl2 = sylow_subgroups(lat3, 2)[0]
     assert lat3.normalizer(syl2) == syl2   # self-normalizing
 
 
@@ -91,7 +96,7 @@ def test_conjugates(make):
         if lat.is_normal[sid]:
             assert lat.conjugates(sid) == (sid,)
     _, lat3 = make("dihedral(3)")
-    assert len(lat3.conjugates(lat3.sylow_subgroups(2)[0])) == 3
+    assert len(lat3.conjugates(sylow_subgroups(lat3, 2)[0])) == 3
 
 
 def test_maximal_subgroups(make):
@@ -105,14 +110,14 @@ def test_maximal_subgroups(make):
 
 def test_sylow(make):
     _, s3 = make("dihedral(3)")
-    assert len(s3.sylow_subgroups(2)) == 3
+    assert len(sylow_subgroups(s3, 2)) == 3
     _, z12 = make("cyclic(12)")
-    (syl,) = z12.sylow_subgroups(2)
+    (syl,) = sylow_subgroups(z12, 2)
     assert z12.order_of(syl) == 4
     _, a4 = make("alternating(4)")
-    assert len(a4.sylow_subgroups(2)) == 1
+    assert len(sylow_subgroups(a4, 2)) == 1
     with pytest.raises(GroupGraphError):
-        s3.sylow_subgroups(5)
+        sylow_subgroups(s3, 5)
 
 
 def test_sylow_counting_theorem(make):
@@ -137,11 +142,11 @@ def test_conjugation_permutes_lattice(make):
     g, lat = make("symmetric(4)")
     masks = {s.mask for s in lat.subgroups}
     for e in range(0, g.order, 3):
-        images = {g.conjugate_mask(s.mask, e) for s in lat.subgroups}
+        images = {conjugate_mask(g, s.mask, e) for s in lat.subgroups}
         assert images == masks
     # and preserves inclusion
     for e in (1, 5, 11):
-        mapped = [lat.index_of[g.conjugate_mask(s.mask, e)]
+        mapped = [lat.index_of[conjugate_mask(g, s.mask, e)]
                   for s in lat.subgroups]
         for i in range(lat.subgroup_count()):
             for j in range(lat.subgroup_count()):
@@ -168,12 +173,64 @@ def test_conjugation_pull_back_matches_the_per_bit_loop_on_the_fast_tier(
             expected = [conjugate_mask_by_bits(group, m, g) for m in masks]
             assert rows_from_bool(group.conjugate_rows(members, g)) \
                 == expected, entry.label
-            assert [group.conjugate_mask(m, g) for m in masks] == expected
+            assert [conjugate_mask(group, m, g) for m in masks] == expected
             assert conjugation_vertex_map(lat, g) == [
                 lat.index_of[expected[sid]] - 1
                 for sid in lat.nontrivial_proper_ids()], entry.label
         checked += 1
     assert checked == len(fast_report.labels)
+
+
+def inclusion_mismatches(lat) -> list[str]:
+    """The fields of ``lat`` that differ from the per-row construction."""
+    members, words, supersets = inclusion_by_rows(lat)
+    checks = {
+        "_members": len(lat._members) == len(members) and all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip(lat._members, members)),
+        "member_words": lat.member_words.dtype == words.dtype
+        and np.array_equal(lat.member_words, words),
+        "supersets": lat.supersets == supersets,
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
+def test_inclusion_matches_the_per_row_loop_on_the_fast_tier(
+        corpus, fast_report, shared_cache):
+    checked = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if not tier_allows("fast", group.order):
+            continue
+        lat = load_or_compute(group, shared_cache)[0]
+        assert inclusion_mismatches(lat) == [], entry.label
+        checked += 1
+    assert checked == len(fast_report.labels)
+
+
+@pytest.mark.parametrize("text", ["psl2(8)", "symmetric(6)"])
+def test_inclusion_matches_the_per_row_loop(make, text):
+    assert inclusion_mismatches(make(text)[1]) == []
+
+
+def test_lattice_construction_memory_stays_near_the_chunk_bound(make):
+    """psl2(13) has 942 subgroups of 1,092 elements. Unblocked, the subset
+    test of every pair would take 128 MB; blocked, the construction needs
+    the membership matrix, the member words and the member indices, plus
+    a few chunk-sized temporaries. The matrix is not kept."""
+    group, lat = make("psl2(13)")
+    tracemalloc.start()
+    try:
+        built = SubgroupLattice(group, lat.subgroups, lat.conj_class_of)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    member_bytes = len(lat.subgroups) * group.order
+    kept = built.member_words.nbytes + sum(m.nbytes for m in built._members)
+    assert peak <= member_bytes + kept + 4 * CHUNK_BYTES
+    assert not any(isinstance(value, np.ndarray) and value.dtype == bool
+                   for value in vars(built).values())
+    assert inclusion_mismatches(built) == []
 
 
 @pytest.mark.parametrize("text", [
@@ -258,7 +315,7 @@ def test_counts_masks_and_classes(make, text, subgroups, classes):
     for members in lat.conj_classes:
         masks = {lat.mask_of(i) for i in members}
         for x in g.generator_indices():
-            assert {g.conjugate_mask(m, x) for m in masks} == masks
+            assert {conjugate_mask(g, m, x) for m in masks} == masks
 
 
 def test_quotient_orders_for_all_normals(make):

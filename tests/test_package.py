@@ -20,6 +20,18 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_makes_no_np_unique_call():
+    """``np.unique`` sorts, and a plain call imports ``numpy.ma``; the
+    package tells values apart by scatters into index-sized arrays."""
+    sources = sorted(Path(groupgraph.__file__).parent.glob("*.py"))
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "unique"]
+    assert found == []
+
+
 def test_a_bundle_and_a_corpus_run_never_import_numpy_ma():
     """A plain ``np.unique(x)`` imports ``numpy.ma`` (15-19 ms on numpy
     2.4), a cost every process would pay; the package calls none."""

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from groupgraph import perms
 from groupgraph.perms import (PermError, compose, cycles, format_cycles,
-                              identity, inverse, parse_cycles, perm_order,
-                              power)
+                              identity, inverse, parse_cycles, power)
+from oracles import perm_order
 
 perm_strategy = st.permutations(range(7)).map(tuple)
 
@@ -19,6 +19,16 @@ def test_compose_applies_left_then_right():
     r = parse_cycles("(0 1 2)", 3)
     s = parse_cycles("(0 1)", 3)
     assert compose(r, s)[0] == s[r[0]]
+
+
+@given(st.integers(0, 12).flatmap(lambda d: st.tuples(
+    st.permutations(range(d)), st.permutations(range(d)))))
+def test_compose_matches_the_image_loop(pair):
+    """Degrees 0 and 1 included, where ``itemgetter`` is not used."""
+    p, q = (tuple(x) for x in pair)
+    composed = compose(p, q)
+    assert type(composed) is tuple
+    assert composed == tuple(q[i] for i in p)
 
 
 @given(perm_strategy, perm_strategy, perm_strategy)

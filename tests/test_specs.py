@@ -3,7 +3,8 @@ import pytest
 from groupgraph import parse_group_spec, realize, register_action
 from groupgraph.errors import (ActionTableError, CapExceeded, SpecDomainError,
                                SpecSyntaxError)
-from groupgraph.perms import parse_cycles, perm_order
+from groupgraph.perms import parse_cycles
+from oracles import perm_order
 from groupgraph.specs import GroupSpec
 
 
