@@ -3,8 +3,9 @@
 One text file per group, keyed by a content hash of the canonical element
 table, so isomorphic groups with different presentations never collide
 (they have different tables) while re-presentations of the same table hit.
-Entries carry their own checksum; anything that fails validation is
-discarded and recomputed.
+Entries carry their own checksum, and their subgroups must run from the
+trivial group to G in canonical order, each order field the popcount of
+its mask; anything that fails validation is discarded and recomputed.
 """
 
 from __future__ import annotations
@@ -66,7 +67,28 @@ def lattice_from_text(group: FiniteGroup, text: str) -> SubgroupLattice:
             raise CacheError(f"unknown record {kind!r}")
     if conj is None or len(conj) != len(subgroups):
         raise CacheError("incomplete cache entry")
+    _check_structure(group, subgroups)
     return SubgroupLattice(group, subgroups, conj)
+
+
+def _check_structure(group: FiniteGroup, subgroups: list[Subgroup]) -> None:
+    """Raise CacheError unless the subgroups run from the trivial group to
+    G in strictly increasing (order, mask) order, each order field being
+    its mask's popcount: what the canonical order promises, and cheap to
+    check on every load."""
+    if not subgroups or (subgroups[0].mask, subgroups[0].order) != (1, 1):
+        raise CacheError("the first subgroup is not the trivial group")
+    if (subgroups[-1].mask, subgroups[-1].order) \
+            != ((1 << group.order) - 1, group.order):
+        raise CacheError("the last subgroup is not the whole group")
+    for s in subgroups:
+        if s.mask.bit_count() != s.order:
+            raise CacheError(f"subgroup {s.mask:x} has order field {s.order}, "
+                             f"but {s.mask.bit_count()} members")
+    keys = [(s.order, s.mask) for s in subgroups]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise CacheError("subgroups are not in strictly increasing "
+                         "(order, mask) order")
 
 
 def cache_path(cache_dir: str | Path, group: FiniteGroup) -> Path:

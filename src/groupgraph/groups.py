@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from . import perms
-from .bits import (bool_array_from_mask, iter_bits, mask_from_bool_array,
-                   mask_from_indices, row_blocks)
+from .bits import (CHUNK_BYTES, bool_array_from_mask, iter_bits,
+                   mask_from_indices, row_blocks, rows_from_bool)
 from .errors import (CacheError, CapExceeded, GroupGraphError, NotNormal,
                      RealizeError)
 from .perms import Perm
@@ -262,53 +262,104 @@ class FiniteGroup:
         H, so each image is ``member`` gathered at ``conj[inv[g]]``."""
         return member[..., self.conj[self.inv[g]]]
 
-    def closure_mask(self, seed_indices, generator_indices,
-                     subgroup=None) -> int:
-        """Subgroup generated by the generator indices, seeded with known members.
+    def normalizer_row(self, member: np.ndarray) -> np.ndarray:
+        """The normalizer N(H) of the subgroup H with the bool membership
+        row ``member``, as a bool row: g lies in N(H) when g h g^-1 lies in
+        H for every h in H. One gather of ``conj`` at H's members, a block
+        of rows at a time, so that each temporary stays within
+        CHUNK_BYTES."""
+        idx = np.flatnonzero(member)
+        conj = self.conj
+        rows = np.empty(self.order, dtype=bool)
+        for block in row_blocks(self.order, idx.size * conj.itemsize,
+                                CHUNK_BYTES):
+            rows[block] = member[conj[block, idx]].all(axis=1)
+        return rows
 
-        Every seed must already lie in the generated subgroup, and so must
-        ``subgroup``: the member indices of a known subgroup H, whose own
-        generators must be among the generator indices. The closure grows
-        by whole right cosets H·x (Dimino's method), one element at a time
-        when H is not given. It starts from the product set H·seeds, one
-        table lookup; when the seeds are a cyclic subgroup whose
-        generator normalizes H, that product set is the answer and a single
-        pass over the coset representatives confirms it.
+    def closure_masks(self, seeds, gens, subgroup=None) -> list[int]:
+        """The subgroups generated by the rows of ``gens``, all closed
+        together by Dimino's coset-wise method.
 
-        Returns the member bitset; the full group is returned early once
-        more than half the elements are reached (a proper subgroup has
-        index at least 2).
+        ``gens`` is a (k, m) array of generator indices, row r for closure
+        r, and ``seeds`` a list of k lists of indices. Every index in
+        ``seeds[r]`` must lie in closure r, and so must
+        ``subgroup``: the member indices of a known subgroup H, shared by
+        all rows, whose own generators must be among each row's. Each
+        closure grows by whole right cosets H·x, one element at a time when
+        H is not given. It starts from the product set H·seeds, one table
+        lookup; when the seeds are a cyclic subgroup whose generator
+        normalizes H, that product set is the answer and a single pass over
+        the coset representatives confirms it.
+
+        The k closures run in lock-step on a (k, n) ``visited`` matrix,
+        and the frontier holds (closure, element) pairs as flat indices
+        into it. Each round takes one fresh element per new coset for all
+        closures at once, by one scatter keyed by closure·n + the coset's
+        least element. A closure that reaches more than half the elements
+        is the full group (a proper subgroup has index at least 2) and
+        stops there. Rows are taken in blocks whose scatter array, 8 bytes
+        per (closure, element) pair, stays within CHUNK_BYTES.
+
+        Returns the member bitsets, in row order.
         """
         n = self.order
-        mul = self.mul
-        gens = np.asarray(list(generator_indices), dtype=np.int64)
+        gens = np.asarray(gens, dtype=np.int64)
         base = np.asarray([0] if subgroup is None else subgroup,
                           dtype=np.int64)
-        visited = np.zeros(n, dtype=bool)
-        visited[base] = True
-        count = int(base.size)
-        half = n // 2
-        frontier = np.zeros(1, dtype=np.int64)  # H itself, as the coset H·1
-        fresh = np.asarray(list(seed_indices), dtype=np.int64)
+        masks: list[int] = []
+        for part in row_blocks(len(seeds), 8 * n, CHUNK_BYTES):
+            masks.extend(self._close_rows(seeds[part], gens[part], base))
+        return masks
+
+    def _close_rows(self, seeds, gens, base) -> list[int]:
+        """One block of rows of ``closure_masks``."""
+        n, k = self.order, len(seeds)
+        mul = self.mul
+        # closure r's elements are entries r·n to r·n + n - 1, and a
+        # (closure, element) pair is the entry's index
+        visited = np.zeros(k * n, dtype=bool)
+        rows = visited.reshape(k, n)
+        rows[:, base] = True
+        frontier = np.arange(0, k * n, n)  # H itself, as the coset H·1
+        fresh = np.concatenate([np.asarray(s, dtype=np.int64) + r * n
+                                for r, s in enumerate(seeds)])
+        # a row is the full group once more than half of it is visited, and
+        # none can be before the rows together have more than that many
+        total, half = k * base.size, n // 2
+        base = base[:, None]
         # distinct right cosets are disjoint, so their minima tell them
-        # apart: any one fresh element per minimum wins a scatter into slot
-        slot = np.empty(n, dtype=np.int64)
+        # apart: any one fresh element per (closure, minimum) wins a scatter
+        slot = np.empty(k * n, dtype=np.int64)
         while True:
             fresh = fresh[~visited[fresh]]
             if fresh.size:
-                cosets = mul[base[:, None], fresh]
-                minima = cosets.min(axis=0)
-                slot[minima] = np.arange(fresh.size)
-                first = np.flatnonzero(slot[minima] == np.arange(fresh.size))
+                element = fresh % n
+                cosets = (fresh - element) + mul[base, element]
+                keys = cosets.min(axis=0)
+                pick = np.arange(fresh.size)
+                slot[keys] = pick
+                first = np.flatnonzero(slot[keys] == pick)
                 visited[cosets[:, first]] = True
-                count += int(base.size * first.size)
-                if count > half:
-                    return (1 << n) - 1
                 frontier = np.concatenate((frontier, fresh[first]))
+                total += base.size * first.size
+                if total > half:
+                    full = np.count_nonzero(rows, axis=1) > half
+                    rows[full] = True
+                    frontier = frontier[~full[frontier // n]]
             if not frontier.size:
-                return mask_from_bool_array(visited)
-            fresh = mul[frontier[:, None], gens].ravel()
+                return rows_from_bool(rows)
+            element = frontier % n
+            offset = frontier - element
+            fresh = (offset[:, None] + mul[element[:, None],
+                                           gens[offset // n]]).ravel()
             frontier = frontier[:0]
+
+    def closure_mask(self, seed_indices, generator_indices,
+                     subgroup=None) -> int:
+        """The subgroup generated by the generator indices, seeded with
+        known members: ``closure_masks`` with one row."""
+        return self.closure_masks([list(seed_indices)],
+                                  [list(generator_indices)], subgroup)[0]
 
     def subgroup_generated(self, element_indices) -> int:
         idx = sorted(set(int(i) for i in element_indices) | {0})

@@ -6,20 +6,28 @@ of prime-power order. Starting from the trivial subgroup, one
 representative H of each conjugacy class found so far is joined with
 zuppos <z> that are not inside H but whose p-th power z^p is (p the prime
 dividing the order of z), in increasing order of their least generator.
-Each new join brings in its whole conjugacy class at once, through the
-``conj`` table, with conjugated ``gen_hint``s. Two shortcuts keep the
-joins few:
+Each new join brings in its whole conjugacy class at once, with
+conjugated ``gen_hint``s: g U g^-1 depends only on the coset g·N(U), so
+the class is walked on the cosets of U's normalizer and its members come
+from one conjugation gather. The joins are array passes over all the
+candidates of H:
 
 - One join per N(H)-orbit. The candidate zuppos are permuted by the
   normalizer N(H), and <H, z^n> = <H, z>^n for n in N(H), a conjugate of
   <H, z> that arrives with its class. So only the least candidate of each
   N(H)-orbit is joined.
 - Product sets. When z normalizes H, <H, z> is the set H·<z>: the union
-  of the cosets H·z^i for i < p, as z^p lies in H. These joins are read
-  off ``mul`` in one gather per prime; only the others go to
-  ``FiniteGroup.closure_mask`` with H as the known subgroup (Dimino's
-  coset-wise closure). In an abelian group every candidate normalizes H
-  and every orbit is a single zuppo, so no orbit is worked out.
+  of the cosets H·z^i for i < p, as z^p lies in H. Zuppos in the same
+  right coset H·z give the same join, so one row is built per coset, and
+  the rows are read off ``mul`` in one gather per prime. In an abelian
+  group every candidate normalizes H and every orbit is a single zuppo,
+  so no orbit is worked out.
+- One batch of closures. The other candidates go to
+  ``FiniteGroup.closure_masks`` together, with H as the known subgroup:
+  Dimino's coset-wise closure (Holt, Eick & O'Brien, *Handbook of
+  Computational Group Theory*, 2005), all closures in lock-step. The loop
+  then reads their joins in order; a candidate that an earlier
+  prime-index join skips is closed but never read.
 
 Completeness. Every element is the product of commuting prime-power
 powers of itself, so a subgroup K is generated by the zuppos inside it.
@@ -42,10 +50,12 @@ to it, so that member would have found the class first, or been skipped
 inside a prime-index join that already had. The zuppos left out only give
 joins in classes already found, and every prime-index skip is one the
 unpruned loop makes too. So each class is first found by the same
-representative, zuppo and ``gen_hint``, and the masks, hints and class
-labels are those of the unpruned loop, which the test suite keeps as an
-oracle and cross-checks against a brute-force enumeration for small
-groups.
+representative, zuppo and ``gen_hint``. The walk over a class on cosets
+meets its members in the order of a walk over their masks, each from the
+same member by the same conjugator, so the conjugated hints agree too.
+The masks, hints and class labels are therefore those of the unpruned
+loop, which the test suite keeps as an oracle and cross-checks against a
+brute-force enumeration for small groups.
 
 Subgroups are bitsets over the parent group's element table, canonically
 ordered by (order, bitset value), so ids are stable across runs and safe
@@ -63,7 +73,7 @@ from .bits import (CHUNK_BYTES, bool_array_from_mask, bool_rows,
                    row_blocks, rows_from_bool, words_from_bool)
 from .errors import CapExceeded, GroupGraphError
 from .groups import FiniteGroup, is_abelian
-from .primes import factorize, is_prime
+from .primes import factorize
 
 SUBGROUP_CAP = 100_000
 
@@ -179,11 +189,9 @@ class SubgroupLattice:
         return self.conj_classes[self.conj_class_of[sid]]
 
     def normalizer(self, sid: int) -> int:
-        idx = self._members[sid]
         membership = np.zeros(self.group.order, dtype=bool)
-        membership[idx] = True
-        rows = membership[self.group.conj[:, idx]].all(axis=1)
-        mask = mask_from_bool_array(rows)
+        membership[self._members[sid]] = True
+        mask = mask_from_bool_array(self.group.normalizer_row(membership))
         try:
             return self.index_of[mask]
         except KeyError:  # pragma: no cover - would mean the lattice is incomplete
@@ -249,45 +257,72 @@ def _zuppos(group: FiniteGroup):
 def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
                      sub: Subgroup) -> list[Subgroup]:
     """The orbit of sub under conjugation by the conjugators, each member
-    with the conjugate of sub's gen_hint. Each subgroup taken off the
-    stack is conjugated by all conjugators in one gather."""
+    with the conjugate of sub's gen_hint.
+
+    g H g^-1 depends only on the coset g·N(H), so the walk runs on cosets,
+    each named by its least element: conjugating the member of coset a by
+    c gives the member of coset c·a. The depth-first walk takes the
+    conjugators in order off one stack and conjugates the hints on the
+    way, and all members come from one conjugation gather at the end."""
     if not conjugators:
         return [sub]
-    conj = group.conj
-    gens = np.asarray(conjugators, dtype=np.int64)
-    orbit = {sub.mask: sub}
-    stack = [(sub, bool_array_from_mask(sub.mask, group.order))]
+    n = group.order
+    mul, conj = group.mul, group.conj
+    member = bool_array_from_mask(sub.mask, n)
+    normalizer = np.flatnonzero(group.normalizer_row(member))
+    if normalizer.size == n:
+        return [sub]
+    label = np.empty(n, dtype=np.int64)
+    for rows in row_blocks(n, normalizer.size * mul.itemsize, CHUNK_BYTES):
+        label[rows] = mul[rows, normalizer].min(axis=1)
+    leaders = np.flatnonzero(label == np.arange(n))
+    # the coset of c·a for each coset a and conjugator c, in one gather
+    step = dict(zip(leaders.tolist(), label[
+        mul[np.asarray(conjugators)[None], leaders[:, None]]].tolist()))
+    hints = {0: sub.gen_hint}
+    stack = [0]
     while stack:
-        s, member = stack.pop()
-        images = group.conjugate_rows(member, gens)
-        for g, row, mask in zip(conjugators, images, rows_from_bool(images)):
-            if mask not in orbit:
-                t = Subgroup(mask, s.order,
-                             tuple(int(conj[g, i]) for i in s.gen_hint))
-                orbit[mask] = t
-                stack.append((t, row))
-    return list(orbit.values())
+        a = stack.pop()
+        for c, b in zip(conjugators, step[a]):
+            if b not in hints:
+                hints[b] = tuple(int(conj[c, i]) for i in hints[a])
+                stack.append(b)
+    cosets = np.fromiter(hints, dtype=np.int64, count=len(hints))
+    masks: list[int] = []
+    for rows in row_blocks(cosets.size, n * (1 + conj.itemsize), CHUNK_BYTES):
+        masks.extend(rows_from_bool(group.conjugate_rows(member, cosets[rows])))
+    return [Subgroup(mask, sub.order, hint)
+            for mask, hint in zip(masks, hints.values())]
 
 
 def _product_sets(group: FiniteGroup, inside: np.ndarray, zuppos,
-                  primes, zmembers) -> dict[int, np.ndarray]:
+                  zgen_idx, primes, zmembers) -> dict[int, tuple]:
     """H·<z> for each listed zuppo z that normalizes H (given by its bool
-    ``inside`` row), as bool rows keyed by zuppo number.
+    ``inside`` row), as (bitset, bool row) pairs keyed by zuppo number.
 
-    z^p lies in H, so H·<z> is the union of the cosets H·z^i for i < p:
-    one ``mul`` gather for all zuppos of the same prime.
+    Zuppos in the same right coset H·z have the same join, so one row is
+    built per coset, for one of its zuppos; the cosets are told apart by
+    their least elements, one ``mul`` gather for all zuppos. z^p lies in
+    H, so H·<z> is the union of the cosets H·z^i for i < p: one ``mul``
+    gather for all the rows of the same prime.
     """
     members = np.flatnonzero(inside)
-    joins: dict[int, np.ndarray] = {}
-    for p in sorted({primes[z] for z in zuppos}):
-        same = [z for z in zuppos if primes[z] == p]
+    least = group.mul[members[:, None], zgen_idx[zuppos]].min(axis=0)
+    # any one zuppo per least element wins the scatter and stands for it
+    slot = np.empty(group.order, dtype=np.int64)
+    slot[least] = np.arange(zuppos.size)
+    lead = zuppos[slot[least]].tolist()
+    leaders = sorted(set(lead))
+    products: dict[int, tuple] = {}
+    for p in sorted({primes[z] for z in leaders}):
+        same = [z for z in leaders if primes[z] == p]
         # z, z^2, ..., z^(p-1) for each zuppo, one row each
         powers = np.array([zmembers[z][:p - 1] for z in same], dtype=np.int64)
         cosets = group.mul[members[:, None, None], powers[None]]
         rows = np.repeat(inside[None], len(same), axis=0)
         rows[np.arange(len(same))[None, :, None], cosets] = True
-        joins.update(zip(same, rows))
-    return joins
+        products.update(zip(same, zip(rows_from_bool(rows), rows)))
+    return dict(zip(zuppos.tolist(), map(products.__getitem__, lead)))
 
 
 def all_subgroups(group: FiniteGroup,
@@ -299,6 +334,9 @@ def all_subgroups(group: FiniteGroup,
     zgens, zprimes, zpowers, zmembers, zuppo_of = _zuppos(group)
     zgen_idx = np.array(zgens, dtype=np.int64)
     zpow_idx = np.array(zpowers, dtype=np.int64)
+    # the index of a subgroup over another divides n, so it is prime when
+    # it is one of n's prime factors
+    index_primes = set(factorize(n))
     abelian = is_abelian(group)
     conjugators = [] if abelian else group.generator_indices()
     trivial = Subgroup(1, 1, ())
@@ -316,27 +354,29 @@ def all_subgroups(group: FiniteGroup,
         if abelian:
             normalizes = np.ones(len(candidates), dtype=bool)
         else:
-            conj = group.conj
-            in_normalizer = inside[conj[:, members]].all(axis=1)
+            in_normalizer = group.normalizer_row(inside)
             # one zuppo per N(rep)-orbit: the least, which the loop reaches
             # first; its join's conjugates come with the join's class
-            least = zuppo_of[conj[np.flatnonzero(in_normalizer)[:, None],
-                                  zgen_idx[candidates]]].min(axis=0)
+            least = zuppo_of[group.conj[np.flatnonzero(in_normalizer)[:, None],
+                                        zgen_idx[candidates]]].min(axis=0)
             candidates = candidates[least == candidates]
             normalizes = in_normalizer[zgen_idx[candidates]]
         products = _product_sets(group, inside, candidates[normalizes],
-                                 zprimes, zmembers)
-        for z in candidates:
+                                 zgen_idx, zprimes, zmembers)
+        # the other joins are closed together, H being the known subgroup;
+        # a few of them fall inside a later prime-index join and go unread
+        closing = candidates[~normalizes].tolist()
+        closed = dict(zip(closing, group.closure_masks(
+            [zmembers[z] for z in closing],
+            [rep.gen_hint + (zgens[z],) for z in closing], members)))
+        for z in candidates.tolist():
             if skip[z]:
                 continue
             hint = rep.gen_hint + (zgens[z],)
-            row = products.get(z)
-            if row is not None:
-                # most product sets fall inside an earlier prime-index
-                # join, so each becomes a bitset only when it is reached
-                joined = mask_from_bool_array(row)
+            if z in products:
+                joined, row = products[z]
             else:
-                joined = group.closure_mask(zmembers[z], hint, members)
+                joined, row = closed[z], None
             if joined not in found:
                 new = Subgroup(joined, joined.bit_count(), hint)
                 for s in _conjugacy_class(group, conjugators, new):
@@ -346,7 +386,7 @@ def all_subgroups(group: FiniteGroup,
                     found[s.mask] = s
                     class_of[s.mask] = len(reps)
                 reps.append(new)
-            if is_prime(joined.bit_count() // rep.order):
+            if joined.bit_count() // rep.order in index_primes:
                 # any zuppo in joined but not in rep generates joined with rep
                 if row is None:
                     row = bool_array_from_mask(joined, n)

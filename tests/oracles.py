@@ -81,6 +81,44 @@ def inclusion_by_rows(lat):
     return members, words, supersets
 
 
+def closure_mask_by_cosets(group, seed_indices, generator_indices,
+                           subgroup=None) -> int:
+    """The subgroup generated by the generator indices, one closure at a
+    time: Dimino's coset-wise closure from the product set H·seeds, with
+    the member indices ``subgroup`` of a known subgroup H (whose
+    generators are among the generator indices) or the trivial group as
+    H. Each round takes one fresh element per new right coset; more than
+    half the elements reached means the full group."""
+    n = group.order
+    mul = group.mul
+    gens = np.asarray(list(generator_indices), dtype=np.int64)
+    base = np.asarray([0] if subgroup is None else subgroup,
+                      dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    visited[base] = True
+    count = int(base.size)
+    half = n // 2
+    frontier = np.zeros(1, dtype=np.int64)  # H itself, as the coset H·1
+    fresh = np.asarray(list(seed_indices), dtype=np.int64)
+    slot = np.empty(n, dtype=np.int64)
+    while True:
+        fresh = fresh[~visited[fresh]]
+        if fresh.size:
+            cosets = mul[base[:, None], fresh]
+            minima = cosets.min(axis=0)
+            slot[minima] = np.arange(fresh.size)
+            first = np.flatnonzero(slot[minima] == np.arange(fresh.size))
+            visited[cosets[:, first]] = True
+            count += int(base.size * first.size)
+            if count > half:
+                return (1 << n) - 1
+            frontier = np.concatenate((frontier, fresh[first]))
+        if not frontier.size:
+            return mask_from_bool_array(visited)
+        fresh = mul[frontier[:, None], gens].ravel()
+        frontier = frontier[:0]
+
+
 def brute_force_subgroup_masks(group, max_generators=None) -> set[int]:
     """Closures of every generating set of bounded size.
 
@@ -94,7 +132,7 @@ def brute_force_subgroup_masks(group, max_generators=None) -> set[int]:
     nonidentity = range(1, group.order)
     for size in range(1, max_generators + 1):
         for combo in combinations(nonidentity, size):
-            masks.add(group.subgroup_generated(combo))
+            masks.add(closure_mask_by_cosets(group, combo, combo))
     return masks
 
 
@@ -181,14 +219,14 @@ def commutator_table_derived_mask(group, mask: int) -> int:
     step = mul[step, idx[:, None]]
     step = mul[step, idx[None, :]]
     comms = np.unique(step)
-    return group.closure_mask(comms, comms)
+    return closure_mask_by_cosets(group, comms, comms)
 
 
 def cyclic_extension_lattice(group):
     """Neubüser's cyclic extension with no shortcut: every class
-    representative is joined by ``closure_mask`` with every zuppo outside it
-    whose p-th power is inside it, unless an earlier join of prime index
-    already holds that zuppo.
+    representative is joined by ``closure_mask_by_cosets`` with every zuppo
+    outside it whose p-th power is inside it, unless an earlier join of
+    prime index already holds that zuppo.
 
     Returns the ``(mask, order, gen_hint)`` triples in canonical order and
     the class label of each, numbered as ``all_subgroups`` numbers them.
@@ -213,7 +251,8 @@ def cyclic_extension_lattice(group):
             if skip[z]:
                 continue
             hint = rep.gen_hint + (zgens[z],)
-            joined = group.closure_mask(zmembers[z], hint, members)
+            joined = closure_mask_by_cosets(group, zmembers[z], hint,
+                                            members)
             if joined not in found:
                 new = Subgroup(joined, joined.bit_count(), hint)
                 for s in conjugacy_class_by_bits(group, conjugators, new):

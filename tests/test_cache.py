@@ -186,3 +186,64 @@ def test_no_cache_dir_means_compute():
     g = realize("cyclic(10)")
     lat, hit = load_or_compute(g, None)
     assert not hit and lat.subgroup_count() == 4
+
+
+def rechecksummed(group, edit) -> str:
+    """The cache entry of ``group`` with ``edit`` applied to its sub
+    records and class labels, under a valid checksum."""
+    lines = lattice_to_text(all_subgroups(group)).splitlines()
+    head, subs, conj = lines[:2], lines[2:-2], lines[-2].split()[1:]
+    subs, conj = edit(subs, conj)
+    body = "\n".join(head + subs + ["conj " + " ".join(conj)])
+    return f"{body}\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+def relabel(conj):
+    labels: dict[str, str] = {}
+    return [labels.setdefault(c, str(len(labels))) for c in conj]
+
+
+def swap_order_two_records(subs, conj):
+    # symmetric(3): 1, three subgroups of order 2, one of order 3, G
+    subs[1], subs[2] = subs[2], subs[1]
+    return subs, conj
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda subs, conj: (subs[1:], relabel(conj[1:])),
+     "first subgroup is not the trivial group"),
+    (lambda subs, conj: (subs[:-1], conj[:-1]),
+     "last subgroup is not the whole group"),
+    (lambda subs, conj: ([subs[0], subs[1].replace("sub 2", "sub 3", 1)]
+                         + subs[2:], conj),
+     "has order field 3, but 2 members"),
+    (swap_order_two_records, "not in strictly increasing"),
+    (lambda subs, conj: (subs[:2] + subs[1:], conj[:2] + conj[1:]),
+     "not in strictly increasing"),
+], ids=["no-trivial", "no-whole-group", "order-field", "swapped",
+        "repeated"])
+def test_entry_that_misstates_its_structure_is_recomputed(
+        tmp_path, caplog, edit, message):
+    """A checksummed entry whose records do not run from the trivial group
+    to G in canonical order, with true orders, is a CacheError, and
+    ``load_or_compute`` discards it with a log line and recomputes."""
+    group = realize("symmetric(3)")
+    text = rechecksummed(group, edit)
+    with pytest.raises(CacheError, match=message):
+        lattice_from_text(group, text)
+    path = cache_path(tmp_path, group)
+    path.write_text(text)
+    with caplog.at_level(logging.WARNING):
+        lat, hit = load_or_compute(group, tmp_path)
+    assert not hit
+    assert any("discarding" in rec.message and message in rec.message
+               for rec in caplog.records)
+    assert path.read_text() == lattice_to_text(lat) \
+        == lattice_to_text(all_subgroups(group))
+
+
+def test_structure_checks_pass_on_the_untouched_entry():
+    group = realize("symmetric(3)")
+    text = rechecksummed(group, lambda subs, conj: (subs, conj))
+    assert text == lattice_to_text(all_subgroups(group))
+    assert lattice_from_text(group, text).subgroup_count() == 6

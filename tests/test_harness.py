@@ -178,6 +178,39 @@ def test_isomorphism_matches_networkx_on_the_h3_buckets(mini_bundles):
             == nx.is_isomorphic(networkx_graph(g1), networkx_graph(g2))
 
 
+def test_isomorphism_matches_networkx_on_the_fast_tier_h3_buckets(
+        corpus, fast_report, shared_cache):
+    """``graphs_isomorphic`` against networkx on every pair of fast-tier
+    difference graphs with edges that H-3 buckets together (same vertex
+    count, edge count and degree sequence); lattices come from the
+    fast-tier cache."""
+    import networkx as nx
+    buckets: dict[tuple, list] = {}
+    checked = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if not tier_allows("fast", group.order):
+            continue
+        checked += 1
+        lat, _ = cache.load_or_compute(group, shared_cache)
+        difference = graphs.build_graph(lat, "difference")
+        if an.edge_count(difference):
+            key = (difference.n, an.edge_count(difference),
+                   tuple(an.degree_sequence(difference)))
+            buckets.setdefault(key, []).append(difference)
+    assert checked == len(fast_report.labels)
+    pairs = [pair for bucket in buckets.values()
+             for pair in combinations(bucket, 2)]
+    # dih06 and s3xz2, a5 and psl2_4, s3xz5 and s3xz7, d4xz3 and d4xz5,
+    # d5xz3 and z5_rtimes_z8: isomorphic graphs, all five
+    assert len(pairs) == 5
+    verdicts = [an.graphs_isomorphic(g1, g2) for g1, g2 in pairs]
+    assert verdicts == [
+        nx.is_isomorphic(networkx_graph(g1), networkx_graph(g2))
+        for g1, g2 in pairs]
+    assert all(verdicts)
+
+
 def test_star_reduction_reuses_rows_without_isolated_vertices():
     b = build_bundle("psl2_7", "psl2(7)")
     assert b.report.isolated_count == 0
