@@ -12,8 +12,7 @@ from .errors import (ActionTableError, BudgetExceeded, CacheError,
                      NotNormal, RealizeError, SpecDomainError,
                      SpecSyntaxError)
 from .graphs import SubgroupGraph, build_graph, star_reduction
-from .groups import (FiniteGroup, enumerate_elements, quotient_group,
-                     stabilizer_chain_order)
+from .groups import FiniteGroup, enumerate_elements, stabilizer_chain_order
 from .harness import (REGISTRY, Budgets, GroupBundle, HuntFinding, RunReport,
                       TheoremCheck, TheoremVerdict, build_bundle,
                       find_gap3249_action, hunt, run_corpus, verify)
@@ -26,7 +25,7 @@ __all__ = [
     "ActionTableError", "BudgetExceeded", "CacheError", "CapExceeded",
     "CriteriaDisagreement", "GroupGraphError", "NotNormal", "RealizeError",
     "SpecDomainError", "SpecSyntaxError", "SubgroupGraph", "build_graph",
-    "star_reduction", "FiniteGroup", "enumerate_elements", "quotient_group",
+    "star_reduction", "FiniteGroup", "enumerate_elements",
     "stabilizer_chain_order", "REGISTRY", "Budgets", "GroupBundle",
     "HuntFinding", "RunReport", "TheoremCheck", "TheoremVerdict",
     "build_bundle", "find_gap3249_action", "hunt", "run_corpus", "verify",

@@ -11,13 +11,6 @@ import numpy as np
 CHUNK_BYTES = 256 * 1024
 
 
-def mask_from_indices(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << int(i)
-    return m
-
-
 def mask_from_bool_array(arr: np.ndarray) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
@@ -27,10 +20,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def indices_from_mask(mask: int) -> list[int]:
-    return list(iter_bits(mask))
 
 
 def lowest_bit(mask: int) -> int:

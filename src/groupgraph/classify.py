@@ -154,8 +154,7 @@ def _verify_cyclic_factors(lat: SubgroupLattice, chain: list[int]) -> None:
                 "normal chain step is not a subgroup of the next one; "
                 "chain search is broken")
         in_below = bool_array_from_mask(below_mask, group.order)
-        hint = list(lat.subgroups[above].gen_hint)
-        if not in_below[group.conj[np.ix_(hint, np.flatnonzero(in_below))]].all():
+        if not group.normalizes(list(lat.subgroups[above].gen_hint), in_below):
             raise GroupGraphError(
                 "normal chain step is not normal in the next one; "
                 "chain search is broken")

@@ -45,6 +45,15 @@ def _json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _emit_payload(payload: dict, args) -> None:
+    """The payload as JSON, or as one ``key: value`` line per entry."""
+    if args.format == "json":
+        _emit(_json(payload), args.out)
+    else:
+        _emit("\n".join(f"{k}: {v}" for k, v in payload.items()) + "\n",
+              args.out)
+
+
 def _lattice_for(spec_text: str, cache_dir: str | None):
     group = realize(spec_text)
     lat, _ = cache_mod.load_or_compute(group, cache_dir)
@@ -88,11 +97,7 @@ def cmd_lattice(args) -> int:
         "sylow": {str(p): len(ids) for p, ids in sorted(lat.sylow_index.items())},
         "frattini_order": lat.order_of(lat.frattini()),
     }
-    if args.format == "json":
-        _emit(_json(payload), args.out)
-    else:
-        _emit("\n".join(f"{k}: {v}" for k, v in payload.items()) + "\n",
-              args.out)
+    _emit_payload(payload, args)
     return 0
 
 
@@ -124,11 +129,7 @@ def cmd_analyze(args) -> int:
                         indep_budget=args.budget_indep, allow_unverified=True)
     payload = {"spec": graph.lattice.group.spec_label, "kind": graph.kind,
                **report.to_json_dict()}
-    if args.format == "json":
-        _emit(_json(payload), args.out)
-    else:
-        _emit("\n".join(f"{k}: {v}" for k, v in payload.items()) + "\n",
-              args.out)
+    _emit_payload(payload, args)
     return 3 if report.unverified else 0
 
 
@@ -155,21 +156,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hunt(args) -> int:
+    budgets = Budgets(clique=args.budget_clique, independence=args.budget_indep)
     if args.target == "gap3249":
         spec = find_gap3249_action()
-        bundle = build_bundle("gap_32_49_like", spec, cache_dir=args.cache)
-        payload = {
+        bundle = build_bundle("gap_32_49_like", spec, budgets=budgets,
+                              cache_dir=args.cache)
+        _emit_payload({
             "target": "gap3249",
             "spec": str(spec),
             "order": bundle.group.order,
             "nilpotent": bundle.classification.nilpotent,
             "difference_bipartite": bundle.report.bipartite,
             "reduced_components": bundle.star_report.component_count,
-        }
-        _emit(_json(payload), args.out)
+        }, args)
         return 0
     corpus = load_corpus(args.corpus)
-    budgets = Budgets(clique=args.budget_clique, independence=args.budget_indep)
     findings = hunt(args.target, corpus, tier=args.tier, budgets=budgets,
                     cache_dir=args.cache, threads=args.threads)
     if args.format == "json":
@@ -198,13 +199,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
+    # each subcommand takes only the formats it writes, and only the
+    # subcommands that run the exact solvers take their budgets
+    def common(p, formats=("json", "text"), spec=True):
         if spec:
             p.add_argument("spec", help="group spec, e.g. 'dihedral(4)'")
         p.add_argument("--cache", default=None, help="lattice cache directory")
-        p.add_argument("--format", choices=("json", "text", "dot"),
-                       default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write output to a file")
+
+    def budgets(p):
         p.add_argument("--budget-clique", type=int,
                        default=an.DEFAULT_SOLVER_BUDGET, metavar="N")
         p.add_argument("--budget-indep", type=int,
@@ -218,17 +222,23 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_lattice)
 
-    for name, fn, help_text in (
-            ("graph", cmd_graph, "emit one subgroup graph"),
-            ("analyze", cmd_analyze, "exact invariants of one subgroup graph"),
-            ("export", cmd_export, "write a graph to a file")):
+    for name, fn, formats, help_text in (
+            ("graph", cmd_graph, ("json", "text", "dot"),
+             "emit one subgroup graph"),
+            ("analyze", cmd_analyze, ("json", "text"),
+             "exact invariants of one subgroup graph"),
+            ("export", cmd_export, ("json", "text", "dot"),
+             "write a graph to a file")):
         p = sub.add_parser(name, help=help_text)
-        common(p)
+        common(p, formats)
         p.add_argument("--kind", choices=tuple(KIND_ALIASES), default="d")
         p.set_defaults(func=fn)
+        if name == "analyze":
+            budgets(p)
 
     p = sub.add_parser("verify", help="run the statement registry over a corpus")
     common(p, spec=False)
+    budgets(p)
     p.add_argument("--corpus", default=None, help="manifest path (default: built-in)")
     p.add_argument("--tier", choices=("fast", "standard", "long"), default="fast")
     p.add_argument("--threads", type=int, default=1,
@@ -240,6 +250,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("hunt", help="scan the corpus for the open problems")
     common(p, spec=False)
+    budgets(p)
     p.add_argument("--target", default="all",
                    choices=("H-1", "H-2", "H-3", "H-4", "H-5", "gap3249", "all"))
     p.add_argument("--corpus", default=None)

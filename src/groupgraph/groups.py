@@ -6,14 +6,14 @@ the numpy index tables for multiplication, inversion and conjugation.
 
 The multiplication table is the regular representation built from the
 generators. Only the m generator rows (g followed by every element) are
-composed from permutations, and each of those m·n products is compared in
-full with the element it is looked up as. Every other row comes from two
-known rows by associativity: (a b) x = a (b x), so the row of a b is the
-row of a gathered at the row of b. No other entry is looked up, and none
-needs a compare: it is an index of the table by construction, and exact
-because the generator rows are. Inverses and conjugation are gathers of
-that table, and so is conjugating a subgroup: x lies in g H g^-1 exactly
-when g^-1 x g lies in H, so H's membership row is pulled back through
+composed from permutations, and each of those m·n products is looked up
+in ``element_index``, the dict from permutation to index. Every other row
+comes from two known rows by associativity: (a b) x = a (b x), so the row
+of a b is the row of a gathered at the row of b. No other entry is looked
+up: it is an index of the table by construction, and exact because the
+generator rows are. Inverses and conjugation are gathers of that table,
+and so is conjugating a subgroup: x lies in g H g^-1 exactly when
+g^-1 x g lies in H, so H's membership row is pulled back through
 ``conj[g^-1]``.
 
 The element table is a breadth-first closure of the generators, and
@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from . import perms
-from .bits import (CHUNK_BYTES, bool_array_from_mask, iter_bits,
-                   mask_from_indices, row_blocks, rows_from_bool)
+from .bits import (CHUNK_BYTES, bool_array_from_mask, iter_bits, row_blocks,
+                   rows_from_bool)
 from .errors import (CacheError, CapExceeded, GroupGraphError, NotNormal,
                      RealizeError)
 from .perms import Perm
@@ -41,13 +41,14 @@ DEFAULT_ORDER_CAP = 20_000
 # n x n index tables above this order would not fit in memory; every group
 # the toolkit analyses in depth is far below it (largest corpus group: 1092).
 TABLE_CAP = 8_192
-# mul's products are searched and its rows gathered this many entries at a
-# time, so building the table needs little memory beside the table itself
+# mul's rows are gathered this many entries at a time, so building the
+# table needs little memory beside the table itself
 _MUL_BLOCK = 1 << 15
 
 
 class TableError(GroupGraphError):
-    """A composed permutation did not match the element it was looked up as."""
+    """The generators do not give the element table: a product of a
+    generator and an element is missing from it, or they generate less."""
 
 
 def enumerate_elements(generators, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[Perm, ...]:
@@ -153,10 +154,8 @@ class FiniteGroup:
 
         Only the generators' rows are composed from permutations: row g
         holds g followed by each element, m·n products for m generators.
-        Each product is looked up by the shortest prefix of point images
-        that tells the sorted elements apart, one ``searchsorted`` per
-        prefix position, and then compared with the element found in full;
-        a mismatch raises TableError. The identity's row is ``arange(n)``.
+        Each product is looked up in ``element_index``; a product missing
+        from it raises TableError. The identity's row is ``arange(n)``.
 
         Every other row follows by associativity: when c is a followed by
         b, c followed by x is a followed by (b followed by x), so row c is
@@ -164,45 +163,23 @@ class FiniteGroup:
         pairs of known rows, a block of rows at a time until every row is
         known, and fills the rows of the new ones; the known words in the
         generators double in length per round. These rows are exact with
-        no lookup, as the generator rows they come from were compared in
-        full. A round that finds nothing new means the generators do not
-        generate the table, which raises TableError.
+        no lookup, as the generator rows they come from are. A round that
+        finds nothing new means the generators do not generate the table,
+        which raises TableError.
         """
         if self.order > TABLE_CAP:
             raise CapExceeded(
                 f"order {self.order} exceeds index-table cap {TABLE_CAP}")
-        n, degree = self.order, self.degree
-        points = np.array(self.elements,
-                          dtype=np.min_scalar_type(max(degree - 1, 0)))
-        points = points.reshape(n, degree)
-        # the table is sorted, so neighbours share the longest prefixes
-        differ = points[1:] != points[:-1]
-        depth = int(differ.argmax(axis=1).max()) + 1 if n > 1 else 0
-        # level t holds the distinct prefixes of length t + 1 in order, each
-        # as (rank of its first t images) * degree + (image t); the rows are
-        # sorted, so equal keys are adjacent and a row's rank is the count
-        # of distinct keys before its own
-        levels = []
-        rank = np.zeros(n, dtype=np.int64)
-        for t in range(depth):
-            keys = rank * degree + points[:, t]
-            first = np.ones(n, dtype=bool)
-            first[1:] = keys[1:] != keys[:-1]
-            levels.append(keys[first])
-            rank = np.cumsum(first) - 1
-        m = len(self.generators)
-        gens = np.array(self.generators, dtype=points.dtype).reshape(m, degree)
-        # composed[r * n + j] = generator r followed by elements[j]
-        composed = points[:, gens].transpose(1, 0, 2).reshape(m * n, degree)
-        index = np.zeros(m * n, dtype=np.int64)
-        for t, level in enumerate(levels):
-            index = np.searchsorted(level, index * degree + composed[:, t])
-        np.minimum(index, n - 1, out=index)
-        if not np.array_equal(points[index], composed):
+        n = self.order
+        try:
+            gen_rows = np.array(
+                [[self.element_index[perms.compose(g, x)]
+                  for x in self.elements] for g in self.generators],
+                dtype=np.int64)
+        except KeyError:
             raise TableError(
                 f"{self.spec_label or 'group'}: a product of two elements "
-                "is missing from the element table")
-        gen_rows = index.reshape(m, n)
+                "is missing from the element table") from None
         table = np.empty((n, n), dtype=np.uint16 if n <= 65535 else np.uint32)
         table[0] = np.arange(n)
         table[gen_rows[:, 0]] = gen_rows  # g followed by the identity is g
@@ -275,6 +252,25 @@ class FiniteGroup:
                                 CHUNK_BYTES):
             rows[block] = member[conj[block, idx]].all(axis=1)
         return rows
+
+    def normalizes(self, conjugators, member: np.ndarray) -> bool:
+        """Does conjugation by each of the ``conjugators`` map the subset H
+        with the bool membership row ``member`` into itself? One gather of
+        ``conj`` at the conjugators and H's members."""
+        conj = self.conj[np.ix_(conjugators, np.flatnonzero(member))]
+        return bool(member[conj].all())
+
+    def left_coset_labels(self, members: np.ndarray) -> np.ndarray:
+        """The least element of each left coset x·H, for every element x,
+        of the subgroup H with the member indices ``members``: the minimum
+        of ``mul[x, members]``, a block of rows at a time, so that each
+        temporary stays within CHUNK_BYTES."""
+        mul = self.mul
+        labels = np.empty(self.order, dtype=np.int64)
+        for rows in row_blocks(self.order, members.size * mul.itemsize,
+                               CHUNK_BYTES):
+            labels[rows] = mul[rows, members].min(axis=1)
+        return labels
 
     def closure_masks(self, seeds, gens, subgroup=None) -> list[int]:
         """The subgroups generated by the rows of ``gens``, all closed
@@ -361,10 +357,6 @@ class FiniteGroup:
         return self.closure_masks([list(seed_indices)],
                                   [list(generator_indices)], subgroup)[0]
 
-    def subgroup_generated(self, element_indices) -> int:
-        idx = sorted(set(int(i) for i in element_indices) | {0})
-        return self.closure_mask(idx, idx)
-
     def is_subgroup_mask(self, mask: int) -> bool:
         """Is the bitset a subgroup: holds the identity, closed under products."""
         member = bool_array_from_mask(mask, self.order)
@@ -373,9 +365,8 @@ class FiniteGroup:
 
     def is_normal_mask(self, mask: int) -> bool:
         """Does conjugation by every generator map the bitset into itself?"""
-        member = bool_array_from_mask(mask, self.order)
-        conj = self.conj[np.ix_(self.generator_indices(), np.flatnonzero(member))]
-        return bool(member[conj].all())
+        return self.normalizes(self.generator_indices(),
+                               bool_array_from_mask(mask, self.order))
 
     def table_bytes(self) -> bytes:
         """Canonical byte encoding of the element table (cache key material):
@@ -401,45 +392,21 @@ def is_abelian(group: FiniteGroup) -> bool:
     return all(mul[a, b] == mul[b, a] for a in gens for b in gens)
 
 
-def subgroup_group(parent: FiniteGroup, mask: int, gen_hint=None,
-                   label: str = "") -> FiniteGroup:
-    """Materialize a subgroup (given as an element bitset) as its own group."""
-    member_idx = list(iter_bits(mask))
-    elements = [parent.elements[i] for i in member_idx]
-    if gen_hint:
-        gens = [parent.elements[i] for i in gen_hint]
-    else:
-        gens = elements if len(elements) <= 2 else _shrink_generators(parent, member_idx)
-    return FiniteGroup(gens, spec_label=label or f"subgroup[{len(elements)}]",
-                       elements=sorted(elements))
+def subgroup_group(parent: FiniteGroup, mask: int, gen_hint) -> FiniteGroup:
+    """Materialize a subgroup (given as an element bitset) as its own group,
+    generated by the parent's elements at the indices ``gen_hint``, or by
+    the identity when it is empty. A hint that does not generate the
+    subgroup makes ``mul`` raise TableError."""
+    elements = sorted(parent.elements[i] for i in iter_bits(mask))
+    return FiniteGroup([parent.elements[i] for i in gen_hint or (0,)],
+                       spec_label=f"subgroup[{len(elements)}]",
+                       elements=elements)
 
 
-def _shrink_generators(parent: FiniteGroup, member_idx) -> list[Perm]:
-    target = mask_from_indices(member_idx)
-    chosen: list[int] = []
-    current = 1  # trivial subgroup mask (identity = index 0)
-    for i in member_idx:
-        if current == target:
-            break
-        if not (current >> i) & 1:
-            chosen.append(i)
-            current = parent.subgroup_generated(chosen)
-    return [parent.elements[i] for i in chosen] or [parent.elements[0]]
-
-
-def quotient_group(group: FiniteGroup, normal_mask: int,
-                   label: str = "") -> FiniteGroup:
-    """The action of the group on left cosets of a normal subgroup.
-
-    Faithful for G/N; degree equals the index [G : N].
-    """
-    q, _ = quotient_with_projection(group, normal_mask, label)
-    return q
-
-
-def quotient_with_projection(group: FiniteGroup, normal_mask: int,
-                             label: str = "") -> tuple[FiniteGroup, np.ndarray]:
-    """Quotient plus the element-level projection map G -> G/N.
+def quotient_with_projection(group: FiniteGroup, normal_mask: int
+                             ) -> tuple[FiniteGroup, np.ndarray]:
+    """The quotient G/N, as the action of G on the left cosets of N (its
+    degree is the index [G : N]), and the projection map G -> G/N.
 
     Cosets x·N are numbered by their least element index, in index order.
     Coset r's representative acts on the cosets as row r of
@@ -454,7 +421,7 @@ def quotient_with_projection(group: FiniteGroup, normal_mask: int,
     mul = group.mul
     members = np.flatnonzero(bool_array_from_mask(normal_mask, group.order))
     # x·N is named by its least element
-    least = mul[:, members].min(axis=1)
+    least = group.left_coset_labels(members)
     is_rep = np.zeros(group.order, dtype=bool)
     is_rep[least] = True
     reps = np.flatnonzero(is_rep)
@@ -465,6 +432,6 @@ def quotient_with_projection(group: FiniteGroup, normal_mask: int,
     rows = [tuple(r) for r in coset_id[mul[reps[:, None], reps]].tolist()]
     quotient = FiniteGroup(
         [rows[coset_id[g]] for g in group.generator_indices()],
-        spec_label=label or f"{group.spec_label}/N[{members.size}]",
+        spec_label=f"{group.spec_label}/N[{members.size}]",
         elements=rows)
     return quotient, coset_id

@@ -602,14 +602,15 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _map_bundles(fn, corpus: Corpus, tier: str, budgets: Budgets | None,
-                 cache_dir: str | None) -> list:
-    """``fn(bundle)`` for every corpus group in the tier, in manifest order.
+def _bundles(corpus: Corpus, tier: str, budgets: Budgets | None,
+             cache_dir: str | None):
+    """The bundle of every corpus group in the tier, in manifest order.
 
-    Bundles are built one at a time in the calling thread, so a caller
-    that keeps only what ``fn`` returns holds one bundle at a time. There
-    is no pool: bundle work is Python that holds the interpreter lock, so
-    threads only add waiting.
+    Bundles are built one at a time in the calling thread, each when the
+    caller asks for it, so a caller that keeps only what it reads off
+    each bundle holds one bundle at a time. There is no pool: bundle work
+    is Python that holds the interpreter lock, so threads only add
+    waiting.
     Each entry is realized once, and ``build_bundle`` gets the realized
     group. One memo of embedded source lattices serves every bundle of
     the call, so a quotient or complement table that several groups share
@@ -618,7 +619,6 @@ def _map_bundles(fn, corpus: Corpus, tier: str, budgets: Budgets | None,
     unverified. A spec that cannot be realized raises RealizeError naming
     its label.
     """
-    out = []
     embedding_sources: dict = {}
     for entry in corpus:
         try:
@@ -626,11 +626,9 @@ def _map_bundles(fn, corpus: Corpus, tier: str, budgets: Budgets | None,
         except GroupGraphError as exc:
             raise RealizeError(f"{entry.label}: {exc}") from exc
         if tier_allows(tier, group.order):
-            out.append(fn(build_bundle(entry.label, group, budgets=budgets,
-                                       cache_dir=cache_dir,
-                                       allow_unverified=True,
-                                       embedding_sources=embedding_sources)))
-    return out
+            yield build_bundle(entry.label, group, budgets=budgets,
+                               cache_dir=cache_dir, allow_unverified=True,
+                               embedding_sources=embedding_sources)
 
 
 def run_corpus(corpus: Corpus, checks=None, tier: str = "fast", *,
@@ -651,7 +649,8 @@ def run_corpus(corpus: Corpus, checks=None, tier: str = "fast", *,
         return bundle.label, bundle.group.order, {
             c.id: verify(c, bundle) for c in checks}
 
-    results = _map_bundles(row, corpus, tier, budgets, cache_dir)
+    # map holds no bundle between rows, so one bundle is alive at a time
+    results = list(map(row, _bundles(corpus, tier, budgets, cache_dir)))
     labels = [label for label, _, _ in results]
     orders = {label: order for label, order, _ in results}
     verdicts = {label: row for label, _, row in results}
@@ -834,8 +833,7 @@ def hunt(target: str, corpus: Corpus, *, tier: str = "fast",
     for t in targets:
         if t not in _HUNTS:
             raise GroupGraphError(f"unknown hunt target {t!r}")
-    bundles = _map_bundles(lambda bundle: bundle, corpus, tier, budgets,
-                           cache_dir)
+    bundles = list(_bundles(corpus, tier, budgets, cache_dir))
     findings = []
     for t in targets:
         findings.extend(_HUNTS[t](bundles))

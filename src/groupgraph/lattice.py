@@ -68,10 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import (CHUNK_BYTES, bool_array_from_mask, bool_rows,
-                   indices_from_mask, lowest_bit, mask_from_bool_array,
-                   row_blocks, rows_from_bool, words_from_bool)
-from .errors import CapExceeded, GroupGraphError
+from .bits import (CHUNK_BYTES, bool_array_from_mask, bool_rows, iter_bits,
+                   lowest_bit, row_blocks, rows_from_bool, words_from_bool)
+from .errors import CapExceeded
 from .groups import FiniteGroup, is_abelian
 from .primes import factorize
 
@@ -85,7 +84,7 @@ class Subgroup:
     gen_hint: tuple[int, ...]  # element indices; small generating set
 
     def member_indices(self) -> list[int]:
-        return indices_from_mask(self.mask)
+        return list(iter_bits(self.mask))
 
 
 class SubgroupLattice:
@@ -98,8 +97,7 @@ class SubgroupLattice:
         self.index_of = {s.mask: i for i, s in enumerate(subgroups)}
         self.trivial_id = 0
         self.full_id = len(subgroups) - 1
-        # each subgroup's member indices and packed uint64 member words, by id
-        self._members: list[np.ndarray] = []
+        # each subgroup's packed uint64 member words, by id
         self.member_words = np.empty((0, 0), dtype=np.uint64)
         self.supersets: list[int] = []
         # class labels number the classes in order of their lowest id
@@ -139,19 +137,12 @@ class SubgroupLattice:
             self.frattini_id = self.full_id
 
     def _compute_inclusion(self) -> None:
-        """Members, member words and supersets from one unpacking of the
-        masks. The members of all subgroups come from one ``np.nonzero``
-        of the membership matrix, split where each subgroup's row ends.
+        """Member words and supersets from one unpacking of the masks.
         H lies in K when H AND NOT K is empty, word by word; the test runs
         a block of rows of H against every K at a time, so that each
         temporary stays within CHUNK_BYTES."""
-        order = self.group.order
-        membership = bool_rows([s.mask for s in self.subgroups], order)
-        members = np.flatnonzero(membership)
-        np.remainder(members, order, out=members)
-        ends = np.cumsum(np.count_nonzero(membership, axis=1)).tolist()
-        self._members = [members[a:b] for a, b in zip([0] + ends, ends)]
-        words = self.member_words = words_from_bool(membership)
+        words = self.member_words = words_from_bool(
+            bool_rows([s.mask for s in self.subgroups], self.group.order))
         outside = ~words
         self.supersets = []
         for block in row_blocks(len(words), outside.nbytes, CHUNK_BYTES):
@@ -188,15 +179,6 @@ class SubgroupLattice:
     def conjugates(self, sid: int) -> tuple[int, ...]:
         return self.conj_classes[self.conj_class_of[sid]]
 
-    def normalizer(self, sid: int) -> int:
-        membership = np.zeros(self.group.order, dtype=bool)
-        membership[self._members[sid]] = True
-        mask = mask_from_bool_array(self.group.normalizer_row(membership))
-        try:
-            return self.index_of[mask]
-        except KeyError:  # pragma: no cover - would mean the lattice is incomplete
-            raise GroupGraphError("normalizer is missing from the lattice")
-
     def maximal_subgroups(self) -> list[int]:
         return [i for i, flag in enumerate(self.is_maximal) if flag]
 
@@ -208,8 +190,10 @@ class SubgroupLattice:
                 if i != self.trivial_id and i != self.full_id]
 
     def is_cyclic_subgroup(self, sid: int) -> bool:
-        orders = self.group.element_orders[self._members[sid]]
-        return int(orders.max()) == self.subgroups[sid].order
+        """Does some member's order equal the subgroup's order?"""
+        sub = self.subgroups[sid]
+        member = bool_array_from_mask(sub.mask, self.group.order)
+        return int(self.group.element_orders[member].max()) == sub.order
 
     def subgroup_count(self) -> int:
         return len(self.subgroups)
@@ -272,9 +256,7 @@ def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
     normalizer = np.flatnonzero(group.normalizer_row(member))
     if normalizer.size == n:
         return [sub]
-    label = np.empty(n, dtype=np.int64)
-    for rows in row_blocks(n, normalizer.size * mul.itemsize, CHUNK_BYTES):
-        label[rows] = mul[rows, normalizer].min(axis=1)
+    label = group.left_coset_labels(normalizer)
     leaders = np.flatnonzero(label == np.arange(n))
     # the coset of c·a for each coset a and conjugator c, in one gather
     step = dict(zip(leaders.tolist(), label[

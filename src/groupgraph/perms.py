@@ -51,19 +51,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def power(p: Perm, k: int) -> Perm:
-    if k < 0:
-        return power(inverse(p), -k)
-    result = identity(len(p))
-    base = p
-    while k:
-        if k & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        k >>= 1
-    return result
-
-
 def cycles(p: Perm) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each starting at its smallest point, sorted."""
     seen = [False] * len(p)

@@ -14,7 +14,8 @@ from groupgraph.classify import (_iwasawa_witness, derived_series_orders,
 from groupgraph.errors import GroupGraphError
 from groupgraph.graphs import (KINDS, SubgroupGraph, build_graph,
                                star_reduction)
-from groupgraph.groups import FiniteGroup, is_abelian
+from groupgraph.groups import (FiniteGroup, is_abelian,
+                               quotient_with_projection)
 from groupgraph.lattice import Subgroup, _zuppos
 from groupgraph.primes import is_prime
 
@@ -61,24 +62,81 @@ def conjugate_mask(group, mask: int, g: int) -> int:
         group.conjugate_rows(bool_array_from_mask(mask, group.order), g))
 
 
+def mask_from_indices(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << int(i)
+    return m
+
+
+def power(p, k: int):
+    """The k-th power of the permutation p, by repeated squaring."""
+    if k < 0:
+        return power(perms.inverse(p), -k)
+    result = perms.identity(len(p))
+    base = p
+    while k:
+        if k & 1:
+            result = perms.compose(result, base)
+        base = perms.compose(base, base)
+        k >>= 1
+    return result
+
+
+def subgroup_generated(group, element_indices) -> int:
+    """The bitset of the subgroup generated by the element indices."""
+    idx = sorted(set(int(i) for i in element_indices) | {0})
+    return group.closure_mask(idx, idx)
+
+
+def shrink_generators(group, mask: int) -> list[int]:
+    """Element indices that generate the subgroup with the bitset
+    ``mask``, picked greedily in index order: each is the least member
+    outside the subgroup generated by those before it. Empty for the
+    trivial subgroup."""
+    chosen: list[int] = []
+    current = 1  # trivial subgroup mask (identity = index 0)
+    for i in iter_bits(mask):
+        if current == mask:
+            break
+        if not (current >> i) & 1:
+            chosen.append(i)
+            current = subgroup_generated(group, chosen)
+    return chosen
+
+
+def quotient_group(group, normal_mask: int) -> FiniteGroup:
+    """The action of the group on left cosets of a normal subgroup.
+
+    Faithful for G/N; degree equals the index [G : N].
+    """
+    q, _ = quotient_with_projection(group, normal_mask)
+    return q
+
+
+def normalizer(lat, sid: int) -> int:
+    """The id of the normalizer of subgroup ``sid``: the elements g with
+    g H g^-1 = H, each conjugate taken one member at a time."""
+    group, mask = lat.group, lat.mask_of(sid)
+    return lat.index_of[sum(1 << g for g in range(group.order)
+                            if conjugate_mask_by_bits(group, mask, g) == mask)]
+
+
 def inclusion_by_rows(lat):
-    """``_members``, ``member_words`` and ``supersets`` of a lattice built
-    one subgroup at a time: members from each mask's bits, and the
-    supersets of H from one subset test of H's words against every
-    subgroup's."""
+    """``member_words`` and ``supersets`` of a lattice built one subgroup
+    at a time: members from each mask's bits, and the supersets of H from
+    one subset test of H's words against every subgroup's."""
     order = lat.group.order
-    members = [np.array(s.member_indices(), dtype=np.int64)
-               for s in lat.subgroups]
-    member = np.zeros((len(members), order), dtype=bool)
-    for i, idx in enumerate(members):
-        member[i, idx] = True
+    member = np.zeros((len(lat.subgroups), order), dtype=bool)
+    for i, s in enumerate(lat.subgroups):
+        member[i, s.member_indices()] = True
     words = words_from_bool(member)
     supersets = []
-    for i in range(len(members)):
+    for i in range(len(words)):
         covered = ((words[i] & ~words) == 0).all(axis=1)
         supersets.append(int.from_bytes(
             np.packbits(covered, bitorder="little").tobytes(), "little"))
-    return members, words, supersets
+    return words, supersets
 
 
 def closure_mask_by_cosets(group, seed_indices, generator_indices,
@@ -304,7 +362,6 @@ def quotient_differences(group, normal_mask: int) -> list[str]:
     table digest, row r sending point 0 to r, and the projection being the
     coset index (cosets numbered by least element, in index order)."""
     from groupgraph.cache import table_digest
-    from groupgraph.groups import quotient_with_projection
     q, projection = quotient_with_projection(group, normal_mask)
     ref = bfs_quotient(group, normal_mask)
     reps = left_coset_reps(group, normal_mask)

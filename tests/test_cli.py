@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from groupgraph.cli import main
+from groupgraph.cli import build_parser, main
 from groupgraph.harness import Budgets, build_bundle
 
 MINI = """\
@@ -205,6 +205,54 @@ def test_hunt_gap3249(capsys, tmp_path):
     assert payload["nilpotent"] is True
     assert payload["difference_bipartite"] is False
     assert payload["reduced_components"] >= 2
+
+
+def test_hunt_gap3249_text_and_budgets(capsys, tmp_path):
+    cache = str(tmp_path / "c")
+    code, out, _ = run_cli(capsys, "hunt", "--target", "gap3249",
+                           "--cache", cache, "--format", "text")
+    assert code == 0
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+    lines = out.splitlines()
+    assert lines[0] == "target: gap3249" and "order: 32" in lines
+    code, out, err = run_cli(capsys, "hunt", "--target", "gap3249",
+                             "--cache", cache, "--budget-clique", "0")
+    assert code == 3 and out == "" and "unverified" in err
+
+
+GROUP_COMMANDS = ("group", "lattice", "graph", "export", "analyze")
+SOLVER_COMMANDS = ("analyze", "verify", "hunt")
+BUDGETS = ("--budget-clique=7", "--budget-indep=7")
+
+
+def _argv(command, flag):
+    return [command, *(("cyclic(2)",) if command in GROUP_COMMANDS else ()),
+            flag]
+
+
+@pytest.mark.parametrize("command,flag", [
+    *((c, b) for c in ("group", "lattice", "graph", "export") for b in BUDGETS),
+    *((c, "--format=dot")
+      for c in ("group", "lattice", "analyze", "verify", "hunt")),
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command,
+                                                               flag):
+    with pytest.raises(SystemExit) as exc:
+        main(_argv(command, flag))
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,attr,value", [
+    *((c, "--budget-clique=7", "budget_clique", 7) for c in SOLVER_COMMANDS),
+    *((c, "--budget-indep=7", "budget_indep", 7) for c in SOLVER_COMMANDS),
+    *((c, "--format=dot", "format", "dot") for c in ("graph", "export")),
+    *((c, "--threads=3", "threads", 3) for c in ("verify", "hunt")),
+])
+def test_each_kept_flag_still_parses(command, flag, attr, value):
+    assert getattr(build_parser().parse_args(_argv(command, flag)),
+                   attr) == value
 
 
 def test_analyze_unverified_exit_3(capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from groupgraph import build_graph, graphs, realize, star_reduction
-from groupgraph.bits import iter_bits, mask_from_indices
+from groupgraph.bits import iter_bits
 from groupgraph.cache import load_or_compute
 from groupgraph.corpus import tier_allows
 from groupgraph.errors import GroupGraphError, NotNormal
@@ -11,7 +11,7 @@ from groupgraph.graphs import (KINDS, conjugation_vertex_map,
                                graph_to_json_dict, is_graph_automorphism,
                                quotient_embedding, semidirect_embedding,
                                to_dot)
-from oracles import pair_loop_mismatches
+from oracles import mask_from_indices, pair_loop_mismatches
 
 
 def test_build_graph_matches_the_pair_loop_on_the_fast_tier(

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupgraph import (FiniteGroup, all_subgroups, enumerate_elements,
-                        quotient_group, realize, stabilizer_chain_order)
+                        realize, stabilizer_chain_order)
 from groupgraph.corpus import tier_allows
 from groupgraph.errors import CapExceeded, NotNormal, RealizeError
 from groupgraph.groups import (TableError, quotient_with_projection,
                                subgroup_group)
 from groupgraph.perms import compose, format_cycles, identity, parse_cycles
 from oracles import (composed_mul, left_coset_reps, per_element_tables,
-                     quotient_differences)
+                     quotient_differences, quotient_group, shrink_generators)
 
 
 def test_enumerate_identity_only():
@@ -265,9 +265,23 @@ def test_subgroup_group_materializes():
     from oracles import perm_order
     a4 = _subgroup_mask(
         s4, lambda p: sum(len(c) - 1 for c in cycles(p)) % 2 == 0)
-    sub = subgroup_group(s4, a4)
+    sub = subgroup_group(s4, a4, shrink_generators(s4, a4))
     assert sub.order == 12
     assert stabilizer_chain_order(sub.generators) == 12
+
+
+@pytest.mark.parametrize("hint_cycles", [(), ("(0 1 2)",)])
+def test_subgroup_group_raises_on_a_hint_that_does_not_generate(hint_cycles):
+    """A4 in S4 from no generators (the identity) or from one of its
+    three-cycles: ``mul`` finds that the hint generates less."""
+    s4 = realize("symmetric(4)")
+    from groupgraph.perms import cycles
+    a4 = _subgroup_mask(
+        s4, lambda p: sum(len(c) - 1 for c in cycles(p)) % 2 == 0)
+    hint = tuple(s4.element_index[parse_cycles(c, 4)] for c in hint_cycles)
+    with pytest.raises(TableError, match="do not generate"):
+        subgroup_group(s4, a4, hint).mul
+    assert subgroup_group(s4, 1, ()).order == 1
 
 
 def _per_element_projection(g, q, normal_mask):

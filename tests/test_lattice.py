@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 from groupgraph import all_subgroups, analyze, realize
 from groupgraph import groups, lattice
 from groupgraph.bits import (CHUNK_BYTES, bool_array_from_mask, bool_rows,
-                             rows_from_bool)
+                             iter_bits, rows_from_bool)
 from groupgraph.cache import load_or_compute
 from groupgraph.corpus import tier_allows
 from groupgraph.errors import CapExceeded, GroupGraphError
 from groupgraph.graphs import (build_graph, conjugation_vertex_map,
                                star_reduction)
-from groupgraph.groups import FiniteGroup, is_abelian, quotient_group
+from groupgraph.groups import FiniteGroup, is_abelian
 from groupgraph.lattice import SubgroupLattice, _conjugacy_class, _zuppos
 from groupgraph.perms import format_cycles, parse_cycles
 from oracles import (brute_force_subgroup_masks, closure_mask_by_cosets,
                      conjugacy_class_by_bits, conjugate_mask,
                      conjugate_mask_by_bits, cyclic_extension_lattice,
-                     inclusion_by_rows, pair_loop_mismatches, sylow_subgroups)
+                     inclusion_by_rows, normalizer, pair_loop_mismatches,
+                     perm_order, quotient_group, subgroup_generated,
+                     sylow_subgroups)
 
 
 @pytest.mark.parametrize("text,count", [
@@ -52,7 +54,7 @@ def test_lagrange(make):
 def _id_of(lat, *cycle_texts):
     g = lat.group
     gens = [g.element_index[parse_cycles(t, g.degree)] for t in cycle_texts]
-    return lat.index_of[g.subgroup_generated(gens)]
+    return lat.index_of[subgroup_generated(g, gens)]
 
 
 def test_join_examples_in_d4(make):
@@ -84,13 +86,13 @@ def test_product_size_symmetric(make):
 def test_normalizer_examples(make):
     _, lat = make("dihedral(4)")
     s = _id_of(lat, "(1 3)")
-    assert lat.order_of(lat.normalizer(s)) == 4
+    assert lat.order_of(normalizer(lat, s)) == 4
     for sid in range(lat.subgroup_count()):
         if lat.is_normal[sid]:
-            assert lat.normalizer(sid) == lat.full_id
+            assert normalizer(lat, sid) == lat.full_id
     _, lat3 = make("dihedral(3)")
     syl2 = sylow_subgroups(lat3, 2)[0]
-    assert lat3.normalizer(syl2) == syl2   # self-normalizing
+    assert normalizer(lat3, syl2) == syl2   # self-normalizing
 
 
 def test_conjugates(make):
@@ -186,13 +188,30 @@ def test_conjugation_pull_back_matches_the_per_bit_loop_on_the_fast_tier(
     assert checked == len(fast_report.labels)
 
 
+def test_is_cyclic_subgroup_matches_the_element_orders_on_the_fast_tier(
+        corpus, fast_report, shared_cache):
+    """A subgroup is cyclic when one of its members has its order; the
+    orders here come from the permutations' cycle lengths."""
+    checked = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if not tier_allows("fast", group.order):
+            continue
+        lat = load_or_compute(group, shared_cache)[0]
+        orders = [perm_order(p) for p in group.elements]
+        expected = [any(orders[i] == s.order for i in iter_bits(s.mask))
+                    for s in lat.subgroups]
+        assert [lat.is_cyclic_subgroup(sid)
+                for sid in range(lat.subgroup_count())] == expected, \
+            entry.label
+        checked += 1
+    assert checked == len(fast_report.labels)
+
+
 def inclusion_mismatches(lat) -> list[str]:
     """The fields of ``lat`` that differ from the per-row construction."""
-    members, words, supersets = inclusion_by_rows(lat)
+    words, supersets = inclusion_by_rows(lat)
     checks = {
-        "_members": len(lat._members) == len(members) and all(
-            a.dtype == b.dtype and np.array_equal(a, b)
-            for a, b in zip(lat._members, members)),
         "member_words": lat.member_words.dtype == words.dtype
         and np.array_equal(lat.member_words, words),
         "supersets": lat.supersets == supersets,
@@ -221,8 +240,8 @@ def test_inclusion_matches_the_per_row_loop(make, text):
 def test_lattice_construction_memory_stays_near_the_chunk_bound(make):
     """psl2(13) has 942 subgroups of 1,092 elements. Unblocked, the subset
     test of every pair would take 128 MB; blocked, the construction needs
-    the membership matrix, the member words and the member indices, plus
-    a few chunk-sized temporaries. The matrix is not kept."""
+    the membership matrix and the member words, plus a few chunk-sized
+    temporaries. The matrix is not kept."""
     group, lat = make("psl2(13)")
     tracemalloc.start()
     try:
@@ -231,7 +250,7 @@ def test_lattice_construction_memory_stays_near_the_chunk_bound(make):
     finally:
         tracemalloc.stop()
     member_bytes = len(lat.subgroups) * group.order
-    kept = built.member_words.nbytes + sum(m.nbytes for m in built._members)
+    kept = built.member_words.nbytes
     assert peak <= member_bytes + kept + 4 * CHUNK_BYTES
     assert not any(isinstance(value, np.ndarray) and value.dtype == bool
                    for value in vars(built).values())
@@ -508,7 +527,7 @@ def test_counts_masks_and_classes(make, text, subgroups, classes):
     assert lat.subgroup_count() == subgroups
     assert len(lat.conj_classes) == classes
     assert all(g.is_subgroup_mask(s.mask) for s in lat.subgroups)
-    assert all(g.subgroup_generated(s.gen_hint) == s.mask
+    assert all(subgroup_generated(g, s.gen_hint) == s.mask
                for s in lat.subgroups)
     for members in lat.conj_classes:
         masks = {lat.mask_of(i) for i in members}

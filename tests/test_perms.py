@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from groupgraph import perms
 from groupgraph.perms import (PermError, compose, cycles, format_cycles,
-                              identity, inverse, parse_cycles, power)
-from oracles import perm_order
+                              identity, inverse, parse_cycles)
+from oracles import perm_order, power
 
 perm_strategy = st.permutations(range(7)).map(tuple)
 
