@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import bool_rows, iter_bits, lowest_bit, rows_from_bool
-from .errors import BudgetExceeded, CriteriaDisagreement
+from .errors import BudgetExceeded, CriteriaDisagreement, GroupGraphError
 
 DEFAULT_SOLVER_BUDGET = 5_000_000
 DEFAULT_ISO_BUDGET = 200_000
@@ -158,9 +158,12 @@ def max_clique(g, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[int, list[int]]:
     each open node holds its clique size, its candidates and its
     candidates' greedy coloring, and its children are entered from the
     highest color down until the coloring bound fails. Every node entered
-    counts against ``budget``.
+    counts against ``budget``. A vertex adjacent to itself raises
+    GroupGraphError: the greedy seed would take it forever.
     """
     n = g.n
+    if any(row >> v & 1 for v, row in enumerate(g.adj)):
+        raise GroupGraphError("the clique search needs a graph without loops")
     if n == 0:
         return 0, []
     order = sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import CHUNK_BYTES, bool_array_from_mask, row_blocks
+from .bits import bool_array_from_mask
 from .errors import CriteriaDisagreement, GroupGraphError
 from .groups import FiniteGroup, is_abelian
 from .lattice import SubgroupLattice
@@ -73,29 +73,57 @@ def is_nilpotent(group: FiniteGroup, lat: SubgroupLattice) -> bool:
     return sylow_normal
 
 
-def derived_subgroup_mask(group: FiniteGroup, mask: int) -> int:
-    """Commutator subgroup of the subgroup given by ``mask``, inside group.
+def derived_subgroup(group: FiniteGroup, gens) -> tuple[int, list[int]]:
+    """The commutator subgroup H' of H = <gens> (element indices), and the
+    element indices it was closed from.
 
-    The commutators x^-1 y^-1 x y are scattered into a bool row, a block
-    of x at a time, so no |H| x |H| table is held.
+    H' is the normal closure in H of the commutators x^-1 y^-1 x y of H's
+    generators (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, 2005). The commutators are closed, then the conjugates of
+    the elements used by H's generators that fall outside the closure are
+    added and the closure is grown over it, until none falls outside. No
+    |H| x |H| table is built.
     """
-    idx = np.flatnonzero(bool_array_from_mask(mask, group.order))
+    gens = np.asarray(gens, dtype=np.int64)
     mul, inv = group.mul, group.inv
-    comms = np.zeros(group.order, dtype=bool)
-    # the gathers index with intp, 8 bytes per commutator
-    for rows in row_blocks(idx.size, idx.size * 8, CHUNK_BYTES):
-        step = mul[np.ix_(inv[idx[rows]], inv[idx])]
-        step = mul[step, idx[rows, None]]
-        comms[mul[step, idx[None, :]]] = True
-    comms = np.flatnonzero(comms)
-    return group.closure_mask(comms, comms)
+    x, y = gens[:, None], gens[None, :]
+    # the distinct elements found, told apart by a scatter over elements
+    found = np.zeros(group.order, dtype=bool)
+    found[mul[mul[mul[inv[x], inv[y]], x], y]] = True
+    found[0] = False  # the identity
+    used = np.flatnonzero(found)
+    if not used.size:
+        return 1, []
+    mask = group.closure_mask(used, used)
+    while True:
+        member = bool_array_from_mask(mask, group.order)
+        found[group.conj[np.ix_(gens, used)]] = True
+        outside = np.flatnonzero(found & ~member)
+        if not outside.size:
+            return mask, used.tolist()
+        used = np.concatenate((used, outside))
+        mask = group.closure_mask(outside, used, np.flatnonzero(member))
+
+
+def derived_subgroup_mask(group: FiniteGroup, mask: int, gens=None) -> int:
+    """Commutator subgroup of the subgroup H given by ``mask``, inside
+    group; ``gens`` are element indices generating H, by default the
+    generators of group, so that H must then be the whole group."""
+    if gens is None:
+        if mask != (1 << group.order) - 1:
+            raise GroupGraphError(
+                "the derived subgroup of a proper subgroup needs its generators")
+        gens = group.generator_indices()
+    return derived_subgroup(group, gens)[0]
 
 
 def derived_series_orders(group: FiniteGroup) -> list[int]:
-    mask = (1 << group.order) - 1
+    """The orders down the derived series; each term's generators are the
+    elements its derived subgroup was closed from."""
+    mask, gens = (1 << group.order) - 1, group.generator_indices()
     orders = [group.order]
     while True:
-        nxt = derived_subgroup_mask(group, mask)
+        nxt, gens = derived_subgroup(group, gens)
         if nxt == mask:
             return orders
         mask = nxt

@@ -135,7 +135,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.list:
-        _emit(_json(registry_table()), args.out)
+        table = registry_table()
+        if args.format == "json":
+            _emit(_json(table), args.out)
+        else:
+            _emit("".join(f"{row['id']}: {row['statement']}\n"
+                          for row in table), args.out)
         return 0
     corpus = load_corpus(args.corpus)
     checks = None

@@ -11,6 +11,7 @@ actually exercises each statement.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -186,8 +187,8 @@ def _t_22d(bundle):
 def _t_22e(bundle):
     d = bundle.difference
     degrees = [d.degree(i) for i in range(d.n)]
-    bad = [i for i, deg in enumerate(degrees)
-           if deg > 0 and degrees.count(deg) == 1]
+    count = Counter(degrees)
+    bad = [i for i, deg in enumerate(degrees) if deg > 0 and count[deg] == 1]
     return _implication("T-2.2e", bundle, vacuous=d.edge_count() == 0,
                         conclusion=not bad, witness=bad[:3])
 

@@ -69,7 +69,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import (CHUNK_BYTES, bool_array_from_mask, bool_rows, iter_bits,
-                   lowest_bit, row_blocks, rows_from_bool, words_from_bool)
+                   lowest_bit, row_blocks, rows_from_bool, words_from_bool,
+                   words_disjoint)
 from .errors import CapExceeded
 from .groups import FiniteGroup, is_abelian
 from .primes import factorize
@@ -138,16 +139,17 @@ class SubgroupLattice:
 
     def _compute_inclusion(self) -> None:
         """Member words and supersets from one unpacking of the masks.
-        H lies in K when H AND NOT K is empty, word by word; the test runs
-        a block of rows of H against every K at a time, so that each
-        temporary stays within CHUNK_BYTES."""
+        H lies in K when H's words are disjoint from the complements of
+        K's: ``words_disjoint``, ORing the ANDs one word at a time. The test
+        runs a block of rows of H against every K at a time, so that its
+        temporaries, 17 bytes per pair, stay within CHUNK_BYTES."""
         words = self.member_words = words_from_bool(
             bool_rows([s.mask for s in self.subgroups], self.group.order))
         outside = ~words
         self.supersets = []
-        for block in row_blocks(len(words), outside.nbytes, CHUNK_BYTES):
-            covered = ~(words[block, None] & outside).any(axis=2)
-            self.supersets.extend(rows_from_bool(covered))
+        for block in row_blocks(len(words), 17 * len(words), CHUNK_BYTES):
+            self.supersets.extend(
+                rows_from_bool(words_disjoint(words[block], outside)))
 
     def _compute_sylow(self) -> None:
         self.sylow_index = {

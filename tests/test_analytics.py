@@ -15,7 +15,8 @@ from groupgraph.analytics import (INF, Graph, complement, components,
                                   is_clawfree, is_cograph, is_cycle,
                                   is_induced_map, max_clique,
                                   universal_vertices)
-from groupgraph.errors import BudgetExceeded, CriteriaDisagreement
+from groupgraph.errors import (BudgetExceeded, CriteriaDisagreement,
+                               GroupGraphError)
 from oracles import (complete_graph, cycle_graph, find_induced_p4,
                      graph_from_edges, has_induced_odd_cycle, induces_cycle,
                      is_induced_map_by_pairs, networkx_invariants,
@@ -154,6 +155,15 @@ def test_budget_is_an_error_not_an_approximation():
     g = random_graph(40, 0.5, 7)
     with pytest.raises(BudgetExceeded):
         max_clique(g, budget=3)
+
+
+def test_a_loop_is_an_error_not_a_hang():
+    """A loop on a vertex the greedy seed skips, then on the one it takes
+    first, which would otherwise take it again and again whatever the
+    budget."""
+    for adj in ([0b010, 0b001, 0b100], [0b11, 0b01]):
+        with pytest.raises(GroupGraphError):
+            max_clique(Graph(len(adj), tuple(adj)), budget=1000)
 
 
 # (size, witness, fewest nodes that finish) of the clique search on the

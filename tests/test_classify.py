@@ -68,7 +68,7 @@ def test_derived_subgroup_matches_the_commutator_table_on_the_fast_tier(
         if not tier_allows("fast", group.order):
             continue
         for s in load_or_compute(group, shared_cache)[0].subgroups:
-            assert derived_subgroup_mask(group, s.mask) \
+            assert derived_subgroup_mask(group, s.mask, s.gen_hint) \
                 == commutator_table_derived_mask(group, s.mask), entry.label
         checked += 1
     assert checked == len(fast_report.labels)

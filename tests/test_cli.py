@@ -3,7 +3,7 @@ import json
 import pytest
 
 from groupgraph.cli import build_parser, main
-from groupgraph.harness import Budgets, build_bundle
+from groupgraph.harness import Budgets, build_bundle, registry_table
 
 MINI = """\
 s3 = dihedral(3)
@@ -101,6 +101,18 @@ def test_verify_list(capsys):
     assert code == 0
     assert {"id": "T-2.5", "statement": table[10]["statement"]} == table[10] \
         or any(row["id"] == "T-2.5" for row in table)
+
+
+def test_verify_list_as_text(capsys):
+    """One ``id: statement`` line per check, in registry order; the JSON
+    listing is unchanged by the text form."""
+    code, out, _ = run_cli(capsys, "verify", "--list", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [f"{row['id']}: {row['statement']}"
+                                for row in registry_table()]
+    _, json_out, _ = run_cli(capsys, "verify", "--list")
+    assert json_out == json.dumps(registry_table(), sort_keys=True,
+                                  indent=2) + "\n"
 
 
 def test_verify_mini_corpus(capsys, mini_corpus_file, tmp_path):

@@ -29,8 +29,9 @@ def test_build_graph_matches_the_pair_loop_on_the_fast_tier(
     assert checked == len(fast_report.labels)
 
 
-@pytest.mark.parametrize("text", ["psl2(8)", "symmetric(5)"])
+@pytest.mark.parametrize("text", ["psl2(8)", "symmetric(5)", "alternating(6)"])
 def test_build_graph_matches_the_pair_loop(make, text):
+    """alternating(6) has 360 elements, six member words per vertex."""
     assert pair_loop_mismatches(make(text)[1]) == []
 
 
@@ -46,7 +47,7 @@ def test_trivial_and_prime_cyclic_groups_have_no_vertices(make, text):
 def test_build_graph_is_chunk_size_independent(make, monkeypatch):
     """One row per chunk (the smallest bound) gives the same graphs."""
     monkeypatch.setattr(graphs, "CHUNK_BYTES", 1)
-    for text in ("symmetric(4)", "psl2(7)", "elem_abelian(2,4)"):
+    for text in ("symmetric(4)", "psl2(7)", "elem_abelian(2,4)", "psl2(8)"):
         assert pair_loop_mismatches(make(text)[1]) == []
 
 

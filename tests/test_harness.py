@@ -1,6 +1,7 @@
 import re
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,6 +51,25 @@ def test_verify_t26_on_d4():
 def test_verify_t28_vacuous_on_z6():
     bundle = build_bundle("z6", "cyclic(6)")
     assert verify(REGISTRY["T-2.8"], bundle).status == "vacuous"
+
+
+@pytest.mark.parametrize("text", ["psl2(7)", "symmetric(4)"])
+def test_t22e_confirmed_with_no_witness(text):
+    verdict = verify(REGISTRY["T-2.2e"], build_bundle(text, text))
+    assert (verdict.status, verdict.witness) == ("confirmed", ())
+
+
+def test_t22e_names_each_vertex_of_a_unique_degree():
+    """A path on three vertices has one vertex of degree 2; the star on
+    five has one of degree 4, and its four leaves share theirs."""
+    for adj, witness in (([0b010, 0b101, 0b010], (1,)),
+                         ([0b11110, 0b1, 0b1, 0b1, 0b1], (0,))):
+        d = graphs.SubgroupGraph("difference", None,
+                                 tuple(range(1, len(adj) + 1)), adj)
+        verdict = REGISTRY["T-2.2e"].evaluate(
+            SimpleNamespace(label="g", difference=d))
+        assert (verdict.status, verdict.witness) \
+            == ("counterexample", witness)
 
 
 def test_failing_hypothesis_is_vacuous_not_confirmed():

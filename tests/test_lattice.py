@@ -237,6 +237,14 @@ def test_inclusion_matches_the_per_row_loop(make, text):
     assert inclusion_mismatches(make(text)[1]) == []
 
 
+def test_inclusion_is_chunk_size_independent(make, monkeypatch):
+    """One row per chunk (the smallest bound) gives the same supersets."""
+    group, lat = make("psl2(8)")
+    monkeypatch.setattr(lattice, "CHUNK_BYTES", 1)
+    assert inclusion_mismatches(
+        SubgroupLattice(group, lat.subgroups, lat.conj_class_of)) == []
+
+
 def test_lattice_construction_memory_stays_near_the_chunk_bound(make):
     """psl2(13) has 942 subgroups of 1,092 elements. Unblocked, the subset
     test of every pair would take 128 MB; blocked, the construction needs
