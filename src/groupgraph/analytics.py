@@ -231,12 +231,8 @@ def clique_number(g, budget: int = DEFAULT_SOLVER_BUDGET) -> int:
     return max_clique(g, budget)[0]
 
 
-def max_independent_set(g, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[int, list[int]]:
-    return max_clique(complement(g), budget)
-
-
 def independence_number(g, budget: int = DEFAULT_SOLVER_BUDGET) -> int:
-    return max_independent_set(g, budget)[0]
+    return max_clique(complement(g), budget)[0]
 
 
 # -- forbidden-subgraph recognizers -------------------------------------------

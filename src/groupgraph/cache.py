@@ -24,13 +24,9 @@ log = logging.getLogger(__name__)
 FORMAT_VERSION = "3"
 
 
-def table_digest(group: FiniteGroup) -> str:
-    return group.table_digest
-
-
 def lattice_to_text(lat: SubgroupLattice) -> str:
     lines = [f"groupgraph-lattice-cache {FORMAT_VERSION}",
-             f"group {lat.group.order} {lat.group.degree} {table_digest(lat.group)}"]
+             f"group {lat.group.order} {lat.group.degree} {lat.group.table_digest}"]
     for s in lat.subgroups:
         hint = ",".join(str(i) for i in s.gen_hint) or "-"
         lines.append(f"sub {s.order} {s.mask:x} {hint}")
@@ -51,7 +47,7 @@ def lattice_from_text(group: FiniteGroup, text: str) -> SubgroupLattice:
         raise CacheError(f"unsupported cache version: {lines[0]!r}")
     _, order, degree, digest = lines[1].split()
     if (int(order), int(degree)) != (group.order, group.degree) \
-            or digest != table_digest(group):
+            or digest != group.table_digest:
         raise CacheError("cache entry is for a different group")
     subgroups = []
     conj = None
@@ -92,7 +88,7 @@ def _check_structure(group: FiniteGroup, subgroups: list[Subgroup]) -> None:
 
 
 def cache_path(cache_dir: str | Path, group: FiniteGroup) -> Path:
-    return Path(cache_dir) / f"{table_digest(group)}.lattice"
+    return Path(cache_dir) / f"{group.table_digest}.lattice"
 
 
 def load_or_compute(group: FiniteGroup, cache_dir: str | Path | None = None,

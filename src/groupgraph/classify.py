@@ -105,18 +105,6 @@ def derived_subgroup(group: FiniteGroup, gens) -> tuple[int, list[int]]:
         mask = group.closure_mask(outside, used, np.flatnonzero(member))
 
 
-def derived_subgroup_mask(group: FiniteGroup, mask: int, gens=None) -> int:
-    """Commutator subgroup of the subgroup H given by ``mask``, inside
-    group; ``gens`` are element indices generating H, by default the
-    generators of group, so that H must then be the whole group."""
-    if gens is None:
-        if mask != (1 << group.order) - 1:
-            raise GroupGraphError(
-                "the derived subgroup of a proper subgroup needs its generators")
-        gens = group.generator_indices()
-    return derived_subgroup(group, gens)[0]
-
-
 def derived_series_orders(group: FiniteGroup) -> list[int]:
     """The orders down the derived series; each term's generators are the
     elements its derived subgroup was closed from."""

@@ -43,7 +43,6 @@ from .analytics import is_induced_map, without_isolated
 from .bits import (CHUNK_BYTES, bool_array_from_mask, iter_bits,
                    mask_from_bool_array, row_blocks, rows_from_bool,
                    words_disjoint, words_from_bool)
-from .cache import table_digest
 from .errors import GroupGraphError, NotNormal
 from .groups import FiniteGroup, quotient_with_projection, subgroup_group
 from .lattice import SubgroupLattice, all_subgroups
@@ -179,14 +178,14 @@ def _embedding(lat: SubgroupLattice, source: FiniteGroup,
     ``image_of``, which takes a subgroup mask of the source to the mask of
     its image subgroup in G.
 
-    ``memo`` maps ``table_digest`` of a source to its lattice and
+    ``memo`` maps the ``table_digest`` of a source to its lattice and
     difference graph. A source whose element table is already in it is
     not enumerated again; the lattice then belongs to an earlier group with
     the same table, whose subgroup masks are the same. The source itself is
     still realized by the caller, never derived from G's lattice.
     """
     memo = {} if memo is None else memo
-    key = table_digest(source)
+    key = source.table_digest
     if key not in memo:
         source_lat = all_subgroups(source)
         memo[key] = source_lat, build_graph(source_lat, "difference")

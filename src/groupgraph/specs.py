@@ -1,33 +1,26 @@
 """Group-spec expressions and their realization as permutation groups.
 
-Grammar (whitespace-insensitive): ``expr := name '(' args ')'`` with
-constructors cyclic(n), dihedral(n), dicyclic(n), symmetric(n),
-alternating(n), elem_abelian(p, k), direct(a, b),
-semidirect(normal, acting, action_id), psl2(q) and raw(perm, ...).
+Grammar (whitespace-insensitive): ``expr := name '(' args ')'``. Each
+constructor name is one entry of ``_KINDS``: its number of arguments,
+its canonical generators (frozen, so realization is byte-for-byte
+reproducible; the entry's comment says what they are) and its order
+formula. The parser and ``realize`` dispatch through that table.
 
-Canonical generators are frozen per constructor so realization is
-byte-for-byte reproducible:
-
-* cyclic(n): the n-cycle (0 1 ... n-1)
-* dihedral(n), n >= 3: rotation (0 1 ... n-1) and the reflection fixing 0
-* symmetric(n): (0 1) and (0 1 ... n-1)
-* alternating(n): (0 1 2), plus (0 1 ... n-1) for odd n or (1 2 ... n-1)
-  for even n
-* elem_abelian(p, k): one p-cycle per block of p points
-* dicyclic(n): left-regular action on the 4n elements a^i b^j
-* direct: factors act on disjoint point sets
-* semidirect(N, K, action): K's points follow a regular block for N;
-  the action table maps each K generator to an automorphism of N given
-  by generator images
-* psl2(q): projective line on q+1 points, generated by the unit
-  translations x -> x + b for each F_p-basis monomial b and x -> -1/x
+A direct product takes its factors' generators, and no factor is
+realized as a group. Only semidirect realizes its parts, as its action
+table reads the normal part's ``mul``. Every realized group is checked
+once, against its order formula and a stabilizer-chain certificate. A
+direct product's formula is the product of its factors'; a raw factor
+has none, and its stabilizer-chain order stands in.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from math import factorial, gcd
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,12 +30,6 @@ from .errors import (ActionTableError, RealizeError, SpecDomainError,
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, stabilizer_chain_order
 from .perms import Perm
 from .primes import factorize, is_prime
-
-_CONSTRUCTORS = {
-    "cyclic": 1, "dihedral": 1, "dicyclic": 1, "symmetric": 1,
-    "alternating": 1, "elem_abelian": 2, "direct": 2, "semidirect": 3,
-    "psl2": 1, "raw": None,
-}
 
 _PRIME_POWERS_13 = {2, 3, 4, 5, 7, 8, 9, 11, 13}
 
@@ -114,17 +101,14 @@ class _Parser:
     def expr(self) -> GroupSpec:
         kind_tok = self.take("name")
         kind = kind_tok[1]
-        if kind not in _CONSTRUCTORS:
+        if kind not in _KINDS:
             raise SpecSyntaxError(f"unknown constructor {kind!r}", kind_tok[2])
         self.take("(")
-        if kind == "raw":
-            args = self.raw_args()
-        else:
-            args = self.args(kind)
+        args = self.raw_args() if kind == "raw" else self.args()
         self.take(")")
         return _validate(GroupSpec(kind, tuple(args)), kind_tok[2])
 
-    def args(self, kind: str) -> list:
+    def args(self) -> list:
         out = []
         while True:
             tok = self.peek()
@@ -173,7 +157,7 @@ class _Parser:
 
 def _validate(spec: GroupSpec, pos: int) -> GroupSpec:
     kind, args = spec.kind, spec.args
-    arity = _CONSTRUCTORS[kind]
+    arity = _KINDS[kind].arity
     if arity is not None and len(args) != arity:
         raise SpecSyntaxError(f"{kind} takes {arity} argument(s), got {len(args)}", pos)
     if kind in ("cyclic", "dicyclic", "symmetric", "alternating"):
@@ -303,23 +287,14 @@ def _cycle(n: int) -> Perm:
     return tuple(list(range(1, n)) + [0]) if n > 1 else (0,)
 
 
-def _gens_cyclic(n: int) -> list[Perm]:
-    return [_cycle(n)]
-
-
-def _gens_dihedral(n: int) -> list[Perm]:
-    reflection = tuple((n - i) % n for i in range(n))
-    return [_cycle(n), reflection]
-
-
-def _gens_symmetric(n: int) -> list[Perm]:
+def _gens_symmetric(_cap, n: int) -> list[Perm]:
     if n == 1:
         return [perms.identity(1)]
     transposition = tuple([1, 0] + list(range(2, n)))
     return [transposition, _cycle(n)]
 
 
-def _gens_alternating(n: int) -> list[Perm]:
+def _gens_alternating(_cap, n: int) -> list[Perm]:
     if n <= 2:
         return [perms.identity(max(n, 1))]
     three = perms.parse_cycles("(0 1 2)", n)
@@ -329,11 +304,11 @@ def _gens_alternating(n: int) -> list[Perm]:
     return [three, big]
 
 
-def _gens_elem_abelian(p: int, k: int) -> list[Perm]:
+def _gens_elem_abelian(_cap, p: int, k: int) -> list[Perm]:
     return [perms.shift(_cycle(p), block * p, p * k) for block in range(k)]
 
 
-def _gens_dicyclic(n: int) -> list[Perm]:
+def _gens_dicyclic(_cap, n: int) -> list[Perm]:
     # left-regular action on the 4n elements a^i b^j (i mod 2n, j mod 2),
     # with b^2 = a^n and b a = a^-1 b.
     def enc(i: int, j: int) -> int:
@@ -350,7 +325,7 @@ def _gens_dicyclic(n: int) -> list[Perm]:
     return [a, b]
 
 
-def _gens_psl2(q: int) -> list[Perm]:
+def _gens_psl2(_cap, q: int) -> list[Perm]:
     # points: field elements 0..q-1 then infinity at index q
     gf = _GF(q)
     infinity = q
@@ -366,6 +341,15 @@ def _gens_psl2(q: int) -> list[Perm]:
         s[a] = gf.neg[gf.inv[a]]
     gens.append(tuple(s))
     return gens
+
+
+def _gens_direct(order_cap: int, a: GroupSpec, b: GroupSpec) -> list[Perm]:
+    """a's generators padded, then b's shifted past a's points. Neither
+    factor is realized as a group."""
+    a, b = _generators(a, order_cap), _generators(b, order_cap)
+    degree = len(a[0]) + len(b[0])
+    return ([perms.pad(g, degree) for g in a]
+            + [perms.shift(g, len(a[0]), degree) for g in b])
 
 
 def _automorphism_from_images(group: FiniteGroup, images: list[Perm]) -> np.ndarray:
@@ -399,10 +383,13 @@ def _automorphism_from_images(group: FiniteGroup, images: list[Perm]) -> np.ndar
     return phi
 
 
-def _realize_semidirect(normal: FiniteGroup, acting: FiniteGroup, rows,
-                        order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """N x| K for an action table: one row per K generator, each row the
-    images of N's generators in cycle notation (see ``ACTIONS``)."""
+def _semidirect_generators(normal: FiniteGroup, acting: FiniteGroup,
+                           rows) -> list[Perm]:
+    """Generators of N x| K for an action table: one row per K generator,
+    each row the images of N's generators in cycle notation (see
+    ``ACTIONS``). N acts on itself from the left on the first |N| points;
+    each K generator acts there by its automorphism and on K's points as
+    itself."""
     if len(rows) != len(acting.generators):
         raise ActionTableError(
             f"{len(rows)} rows but the acting group has "
@@ -422,15 +409,24 @@ def _realize_semidirect(normal: FiniteGroup, acting: FiniteGroup, rows,
         phi = _automorphism_from_images(normal, images)
         gens.append(tuple(int(v) for v in phi) +
                     tuple(nsize + i for i in k))
-    group = FiniteGroup(gens, order_cap=order_cap)
+    return gens
+
+
+def _realize_semidirect(normal: FiniteGroup, acting: FiniteGroup, rows,
+                        order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """N x| K as a group, with the element masks of its parts recorded. Its
+    order must be |N||K|, or the action table is no homomorphism."""
+    group = FiniteGroup(_semidirect_generators(normal, acting, rows),
+                        order_cap=order_cap)
     expected = normal.order * acting.order
     if group.order != expected:
         raise ActionTableError(
             f"not a homomorphism: semidirect product has order "
             f"{group.order}, expected {expected}")
+    nsize = normal.order
     normal_mask = 0
     complement_mask = 0
-    block1 = tuple(range(nsize, degree))
+    block1 = tuple(range(nsize, group.degree))
     for i, p in enumerate(group.elements):
         if p[nsize:] == block1:
             normal_mask |= 1 << i
@@ -441,79 +437,80 @@ def _realize_semidirect(normal: FiniteGroup, acting: FiniteGroup, rows,
     return group
 
 
-def _theoretical_order(spec: GroupSpec, parts: list[FiniteGroup]) -> int | None:
-    kind, args = spec.kind, spec.args
-    if kind == "cyclic":
-        return args[0]
-    if kind == "dihedral":
-        return 2 * args[0]
-    if kind == "dicyclic":
-        return 4 * args[0]
-    if kind == "symmetric":
-        return factorial(args[0])
-    if kind == "alternating":
-        return max(1, factorial(args[0]) // 2)
-    if kind == "elem_abelian":
-        return args[0] ** args[1]
-    if kind == "direct":
-        return parts[0].order * parts[1].order
-    if kind == "semidirect":
-        return parts[0].order * parts[1].order
-    if kind == "psl2":
-        q = args[0]
-        return q * (q * q - 1) // gcd(2, q - 1)
-    return None
+def _semidirect(order_cap: int, normal: GroupSpec, acting: GroupSpec,
+                action_id: str, build=_semidirect_generators):
+    """``build(normal, acting, rows)`` on the realized parts and the action
+    table of semidirect(normal, acting, action_id); its errors name the
+    action."""
+    if action_id not in ACTIONS:
+        raise ActionTableError(f"unknown action id {action_id!r}")
+    parts = realize(normal, order_cap), realize(acting, order_cap)
+    try:
+        return build(*parts, ACTIONS[action_id])
+    except ActionTableError as exc:
+        raise ActionTableError(f"action {action_id!r}: {exc}") from exc
+
+
+class _Kind(NamedTuple):
+    arity: int | None  # None: one or more arguments
+    generators: Callable[..., list[Perm]]  # generators(order_cap, *args)
+    order: Callable[..., int] | None  # order(*args); raw has no formula
+
+
+_KINDS = {
+    # the n-cycle (0 1 ... n-1)
+    "cyclic": _Kind(1, lambda _cap, n: [_cycle(n)], lambda n: n),
+    # n >= 3: the rotation (0 1 ... n-1) and the reflection fixing 0
+    "dihedral": _Kind(1, lambda _cap, n: [
+        _cycle(n), tuple((n - i) % n for i in range(n))], lambda n: 2 * n),
+    # the left-regular action on the 4n elements a^i b^j
+    "dicyclic": _Kind(1, _gens_dicyclic, lambda n: 4 * n),
+    # (0 1) and (0 1 ... n-1)
+    "symmetric": _Kind(1, _gens_symmetric, factorial),
+    # (0 1 2), plus (0 1 ... n-1) for odd n or (1 2 ... n-1) for even n
+    "alternating": _Kind(1, _gens_alternating,
+                         lambda n: max(1, factorial(n) // 2)),
+    # one p-cycle per block of p points
+    "elem_abelian": _Kind(2, _gens_elem_abelian, lambda p, k: p ** k),
+    # the projective line on q+1 points: x -> x + b for each F_p-basis
+    # monomial b, and x -> -1/x
+    "psl2": _Kind(1, _gens_psl2, lambda q: q * (q * q - 1) // gcd(2, q - 1)),
+    # the permutations as given
+    "raw": _Kind(None, lambda _cap, *gens: list(gens), None),
+    # the factors on disjoint point sets
+    "direct": _Kind(2, _gens_direct,
+                    lambda a, b: _part_order(a) * _part_order(b)),
+    # N regular on the first |N| points, K's points after them
+    "semidirect": _Kind(3, _semidirect,
+                        lambda n, k, _: _part_order(n) * _part_order(k)),
+}
+
+
+def _generators(spec: GroupSpec, order_cap: int) -> list[Perm]:
+    return _KINDS[spec.kind].generators(order_cap, *spec.args)
+
+
+def _part_order(spec: GroupSpec) -> int:
+    """A part's expected order: its formula, or for raw, which has none,
+    the stabilizer-chain order of its permutations."""
+    order = _KINDS[spec.kind].order
+    return order(*spec.args) if order else stabilizer_chain_order(spec.args)
 
 
 def realize(spec: GroupSpec | str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build the group named by a spec. Deterministic: identical specs give
-    byte-identical element tables."""
+    """Build the group named by a spec, checked against its order formula
+    and its stabilizer-chain certificate. Deterministic: identical specs
+    give byte-identical element tables."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
-    kind, args = spec.kind, spec.args
-    parts: list[FiniteGroup] = []
-    if kind == "cyclic":
-        gens = _gens_cyclic(args[0])
-    elif kind == "dihedral":
-        gens = _gens_dihedral(args[0])
-    elif kind == "dicyclic":
-        gens = _gens_dicyclic(args[0])
-    elif kind == "symmetric":
-        gens = _gens_symmetric(args[0])
-    elif kind == "alternating":
-        gens = _gens_alternating(args[0])
-    elif kind == "elem_abelian":
-        gens = _gens_elem_abelian(*args)
-    elif kind == "psl2":
-        gens = _gens_psl2(args[0])
-    elif kind == "raw":
-        gens = list(args)
-    elif kind == "direct":
-        parts = [realize(args[0], order_cap), realize(args[1], order_cap)]
-        a, b = parts
-        degree = a.degree + b.degree
-        gens = [perms.pad(g, degree) for g in a.generators]
-        gens += [perms.shift(g, a.degree, degree) for g in b.generators]
-    elif kind == "semidirect":
-        if args[2] not in ACTIONS:
-            raise ActionTableError(f"unknown action id {args[2]!r}")
-        parts = [realize(args[0], order_cap), realize(args[1], order_cap)]
-        try:
-            group = _realize_semidirect(parts[0], parts[1], ACTIONS[args[2]],
-                                        order_cap)
-        except ActionTableError as exc:
-            raise ActionTableError(f"action {args[2]!r}: {exc}") from exc
-        group.spec_label = str(spec)
-        _check_realized(group, _theoretical_order(spec, parts))
-        return group
-    else:  # pragma: no cover - parser rejects unknown kinds
-        raise SpecDomainError(f"unknown constructor {kind}")
-    group = FiniteGroup(gens, spec_label=str(spec), order_cap=order_cap)
-    _check_realized(group, _theoretical_order(spec, parts))
-    return group
-
-
-def _check_realized(group: FiniteGroup, expected: int | None) -> None:
+    if spec.kind == "semidirect":
+        group = _semidirect(order_cap, *spec.args, build=partial(
+            _realize_semidirect, order_cap=order_cap))
+    else:
+        group = FiniteGroup(_generators(spec, order_cap), order_cap=order_cap)
+    group.spec_label = str(spec)
+    formula = _KINDS[spec.kind].order
+    expected = formula(*spec.args) if formula else None
     if expected is not None and group.order != expected:
         raise RealizeError(
             f"{group.spec_label}: realized order {group.order} != "
@@ -523,3 +520,4 @@ def _check_realized(group: FiniteGroup, expected: int | None) -> None:
         raise RealizeError(
             f"{group.spec_label}: stabilizer-chain order {certificate} "
             f"disagrees with element count {group.order}")
+    return group

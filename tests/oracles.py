@@ -1,21 +1,22 @@
 """Independent reference implementations the tests compare against."""
 
 from itertools import combinations
-from math import lcm, log2
+from math import factorial, lcm, log2
 
 import numpy as np
 
-from groupgraph import perms
+from groupgraph import perms, specs
 from groupgraph.analytics import Graph
 from groupgraph.bits import (bool_array_from_mask, iter_bits, lowest_bit,
                              mask_from_bool_array, words_from_bool)
 from groupgraph.classify import (_iwasawa_witness, derived_series_orders,
-                                 is_dedekind)
+                                 derived_subgroup, is_dedekind)
 from groupgraph.errors import GroupGraphError
 from groupgraph.graphs import (KINDS, SubgroupGraph, build_graph,
                                star_reduction)
-from groupgraph.groups import (FiniteGroup, is_abelian,
-                               quotient_with_projection)
+from groupgraph.groups import (DEFAULT_ORDER_CAP, FiniteGroup, is_abelian,
+                               quotient_with_projection,
+                               stabilizer_chain_order)
 from groupgraph.lattice import Subgroup, _zuppos
 from groupgraph.primes import is_prime
 
@@ -269,6 +270,18 @@ def conjugacy_class_by_bits(group, conjugators, sub):
     return list(orbit.values())
 
 
+def derived_subgroup_mask(group, mask: int, gens=None) -> int:
+    """Commutator subgroup of the subgroup H given by ``mask``, inside
+    group; ``gens`` are element indices generating H, by default the
+    generators of group, so that H must then be the whole group."""
+    if gens is None:
+        if mask != (1 << group.order) - 1:
+            raise GroupGraphError(
+                "the derived subgroup of a proper subgroup needs its generators")
+        gens = group.generator_indices()
+    return derived_subgroup(group, gens)[0]
+
+
 def commutator_table_derived_mask(group, mask: int) -> int:
     """The derived subgroup from the whole |H| x |H| commutator table."""
     idx = np.array(list(iter_bits(mask)), dtype=np.int64)
@@ -361,7 +374,6 @@ def quotient_differences(group, normal_mask: int) -> list[str]:
     and from the coset numbering it promises: element table, generators,
     table digest, row r sending point 0 to r, and the projection being the
     coset index (cosets numbered by least element, in index order)."""
-    from groupgraph.cache import table_digest
     q, projection = quotient_with_projection(group, normal_mask)
     ref = bfs_quotient(group, normal_mask)
     reps = left_coset_reps(group, normal_mask)
@@ -371,7 +383,7 @@ def quotient_differences(group, normal_mask: int) -> list[str]:
     checks = {
         "elements": q.elements == ref.elements,
         "generators": q.generators == ref.generators,
-        "table_digest": table_digest(q) == table_digest(ref),
+        "table_digest": q.table_digest == ref.table_digest,
         "row order": all(row[0] == r for r, row in enumerate(q.elements)),
         "projection": projection.tolist() == coset_id,
     }
@@ -533,3 +545,56 @@ def report_invariants(report) -> dict:
     return {key: getattr(report, key) for key in (
         "girth", "component_count", "isolated_count", "clique_number",
         "independence_number")}
+
+
+# -- realization by parts ------------------------------------------------------
+
+
+def realize_by_parts(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """``specs.realize`` as it was before factors gave generators only:
+    both parts of a direct or semidirect product are realized as groups,
+    each with its own order check and certificate, and the product reads
+    their generators, degrees and orders. Other constructors take their
+    generators from ``specs._KINDS``; the order formulas are written out
+    here on their own."""
+    if isinstance(spec, str):
+        spec = specs.parse_group_spec(spec)
+    kind, args = spec.kind, spec.args
+    if kind == "direct":
+        a, b = (realize_by_parts(part, order_cap) for part in args)
+        degree = a.degree + b.degree
+        gens = [perms.pad(g, degree) for g in a.generators]
+        gens += [perms.shift(g, a.degree, degree) for g in b.generators]
+        group = FiniteGroup(gens, order_cap=order_cap)
+        expected = a.order * b.order
+    elif kind == "semidirect":
+        normal, acting = (realize_by_parts(part, order_cap)
+                          for part in args[:2])
+        group = specs._realize_semidirect(normal, acting,
+                                          specs.ACTIONS[args[2]], order_cap)
+        expected = normal.order * acting.order
+    else:
+        group = FiniteGroup(specs._KINDS[kind].generators(order_cap, *args),
+                            order_cap=order_cap)
+        n = args[0]
+        expected = {
+            "cyclic": lambda: n, "dihedral": lambda: 2 * n,
+            "dicyclic": lambda: 4 * n, "symmetric": lambda: factorial(n),
+            "alternating": lambda: max(1, factorial(n) // 2),
+            "elem_abelian": lambda: n ** args[-1],
+            "psl2": lambda: n * (n * n - 1) // (1 if n % 2 == 0 else 2),
+            "raw": lambda: group.order,
+        }[kind]()
+    group.spec_label = str(spec)
+    if group.order != expected \
+            or stabilizer_chain_order(group.generators) != group.order:
+        raise GroupGraphError(f"{spec}: order {group.order}, expected "
+                              f"{expected}")
+    return group
+
+
+def realization_fingerprint(group) -> tuple:
+    """What a realization must reproduce: elements, generators, label and
+    the semidirect part masks."""
+    return (group.elements, group.generators, group.spec_label,
+            group.semidirect_normal_mask, group.semidirect_complement_mask)

@@ -5,7 +5,7 @@ import pytest
 
 from groupgraph import all_subgroups, realize
 from groupgraph.cache import (FORMAT_VERSION, cache_path, lattice_from_text,
-                              lattice_to_text, load_or_compute, table_digest)
+                              lattice_to_text, load_or_compute)
 from groupgraph.cli import main as cli_main
 from groupgraph.errors import CacheError
 from groupgraph.groups import FiniteGroup
@@ -41,7 +41,7 @@ def test_same_element_table_hits_across_presentations(tmp_path):
     a = realize("symmetric(3)")
     b = realize("dihedral(3)")
     assert a.table_bytes() == b.table_bytes()
-    assert table_digest(a) == table_digest(b)
+    assert a.table_digest == b.table_digest
     load_or_compute(a, tmp_path)
     _, hit = load_or_compute(b, tmp_path)
     assert hit
@@ -50,9 +50,9 @@ def test_same_element_table_hits_across_presentations(tmp_path):
 def test_table_digest_is_pinned():
     # the digest names the cache files, so a change to the table encoding
     # would silently orphan every existing entry
-    assert table_digest(realize("symmetric(3)")) == (
+    assert realize("symmetric(3)").table_digest == (
         "cdafb8de994f33c80fda645e311c326e6276b3f6fde9fd74abcfa363455955a0")
-    assert table_digest(realize("psl2(7)")) == (
+    assert realize("psl2(7)").table_digest == (
         "b4657bdff3672140743e4a7381f22335808bcb111d1eac701f93aedf8dfb4884")
 
 
@@ -70,16 +70,16 @@ def test_element_table_is_encoded_once_per_group(tmp_path, monkeypatch):
     assert lattice_from_text(group, lattice_to_text(lat)).subgroups \
         == lat.subgroups
     assert load_or_compute(group, tmp_path)[1]
-    assert cache_path(tmp_path, group).name == table_digest(group) + ".lattice"
+    assert cache_path(tmp_path, group).name == group.table_digest + ".lattice"
     assert encoded == [group]
-    assert table_digest(group) == hashlib.sha256(real(group)).hexdigest()
+    assert group.table_digest == hashlib.sha256(real(group)).hexdigest()
 
 
 def test_degree_beyond_16_bits_is_a_cache_error(tmp_path, capsys):
     wide = realize("raw((0 70000))")
     for _ in range(2):  # a failed encoding leaves no digest behind
         with pytest.raises(CacheError, match="degree 70001"):
-            table_digest(wide)
+            wide.table_digest
     code = cli_main(["group", "raw((0 70000))", "--cache", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1

@@ -5,13 +5,13 @@ import pytest
 from groupgraph import classify, graphs, realize
 from groupgraph.cache import load_or_compute
 from groupgraph.classify import (_verify_cyclic_factors,
-                                 derived_series_orders,
-                                 derived_subgroup_mask, is_abelian,
+                                 derived_series_orders, is_abelian,
                                  is_dedekind, is_nilpotent, is_simple,
                                  is_supersolvable)
 from groupgraph.corpus import tier_allows
 from groupgraph.errors import GroupGraphError
-from oracles import commutator_table_derived_mask, is_iwasawa, is_solvable
+from oracles import (commutator_table_derived_mask, derived_subgroup_mask,
+                     is_iwasawa, is_solvable)
 
 
 @pytest.mark.parametrize("text,expected", [

@@ -271,7 +271,7 @@ def test_run_corpus_enumerates_each_source_table_once(mini_corpus,
     real = graphs.all_subgroups
 
     def spy(group, *args, **kwargs):
-        seen.append(cache.table_digest(group))
+        seen.append(group.table_digest)
         return real(group, *args, **kwargs)
 
     monkeypatch.setattr(graphs, "all_subgroups", spy)

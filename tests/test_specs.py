@@ -1,10 +1,10 @@
 import pytest
 
-from groupgraph import parse_group_spec, realize, register_action
-from groupgraph.errors import (ActionTableError, CapExceeded, SpecDomainError,
-                               SpecSyntaxError)
+from groupgraph import groups, parse_group_spec, realize, register_action, specs
+from groupgraph.errors import (ActionTableError, CapExceeded, RealizeError,
+                               SpecDomainError, SpecSyntaxError)
 from groupgraph.perms import parse_cycles
-from oracles import perm_order
+from oracles import perm_order, realization_fingerprint, realize_by_parts
 from groupgraph.specs import GroupSpec
 
 
@@ -164,3 +164,75 @@ def test_spec_label_roundtrip():
     g = realize("direct(dihedral(3), cyclic(5))")
     assert g.spec_label == "direct(dihedral(3), cyclic(5))"
     assert realize(g.spec_label).table_bytes() == g.table_bytes()
+
+
+def test_realize_matches_realizing_by_parts(corpus):
+    extra = ["psl2(8)", "psl2(11)", "psl2(13)", "symmetric(6)", "dicyclic(16)",
+             "direct(direct(cyclic(2), cyclic(3)), "
+             "semidirect(cyclic(5), cyclic(8), z5_by_doubling))",
+             "direct(raw((0 1 2)), dihedral(4))"]
+    texts = [e.spec_text for e in corpus] + extra
+    for text in texts:
+        assert realization_fingerprint(realize(text)) \
+            == realization_fingerprint(realize_by_parts(text)), text
+
+
+def test_direct_product_is_enumerated_and_certified_once(monkeypatch):
+    calls = []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(groups, "enumerate_elements",
+                        spy("bfs", groups.enumerate_elements))
+    monkeypatch.setattr(specs, "stabilizer_chain_order",
+                        spy("certificate", specs.stabilizer_chain_order))
+    assert realize("direct(dihedral(4), cyclic(3))").order == 24
+    assert sorted(calls) == ["bfs", "certificate"]
+
+
+# per constructor: a spec the parser accepts, and arguments _validate rejects
+CONSTRUCTORS = {
+    "cyclic": ("cyclic(4)", (0,)),
+    "dihedral": ("dihedral(4)", (2,)),
+    "dicyclic": ("dicyclic(2)", (0,)),
+    "symmetric": ("symmetric(3)", (0,)),
+    "alternating": ("alternating(4)", (0,)),
+    "elem_abelian": ("elem_abelian(2,2)", (4, 2)),
+    "psl2": ("psl2(3)", (6,)),
+    "raw": ("raw((0 1))", ()),
+    "direct": ("direct(cyclic(2), cyclic(3))", (GroupSpec("cyclic", (2,)), 3)),
+    "semidirect": ("semidirect(cyclic(5), cyclic(8), z5_by_doubling)",
+                   (GroupSpec("cyclic", (5,)), GroupSpec("cyclic", (8,)), 5)),
+}
+
+
+def test_the_table_holds_exactly_the_constructors_the_parser_accepts():
+    assert set(specs._KINDS) == set(CONSTRUCTORS)
+    for kind, (text, bad_args) in CONSTRUCTORS.items():
+        assert parse_group_spec(text).kind == kind
+        with pytest.raises(SpecDomainError):
+            specs._validate(GroupSpec(kind, bad_args), 0)
+    with pytest.raises(SpecSyntaxError, match="unknown constructor"):
+        parse_group_spec("quaternion(2)")
+
+
+def test_a_wrong_factor_fails_the_direct_products_order_check(monkeypatch):
+    # cyclic(n) made to give the trivial group on n points
+    wrong = specs._KINDS["cyclic"]._replace(
+        generators=lambda _cap, n: [tuple(range(n))])
+    monkeypatch.setitem(specs._KINDS, "cyclic", wrong)
+    with pytest.raises(RealizeError, match="theoretical order 15"):
+        realize("direct(cyclic(5), cyclic(3))")
+
+
+def test_a_factor_whose_action_is_no_homomorphism_is_caught():
+    register_action("bad_z5_action", [("(0 2 4 1 3)",)])
+    assert realize("direct(cyclic(2), semidirect(cyclic(5), cyclic(4), "
+                   "bad_z5_action))").order == 40
+    with pytest.raises(RealizeError, match="theoretical order 30"):
+        realize("direct(cyclic(2), semidirect(cyclic(5), cyclic(3), "
+                "bad_z5_action))")
