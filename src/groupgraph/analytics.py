@@ -153,11 +153,11 @@ def max_clique(g, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[int, list[int]]:
     """Exact maximum clique (size, witness). Deterministic: vertices are
     explored in descending-degree order with id tiebreaks.
 
-    The graph is renumbered into that order once, by one gather of its
-    adjacency matrix. The search is depth-first with an explicit stack:
-    each open node holds its clique size, its candidates and its
-    candidates' greedy coloring, and its children are entered from the
-    highest color down until the coloring bound fails. Every node entered
+    The graph is renumbered into that order once, by two takes of its
+    adjacency matrix, rows then columns. The search is depth-first with an
+    explicit stack: each open node holds its clique size, its candidates
+    and its candidates' greedy coloring, and its children are entered from
+    the highest color down until the coloring bound fails. Every node entered
     counts against ``budget``. A vertex adjacent to itself raises
     GroupGraphError: the greedy seed would take it forever.
     """
@@ -167,7 +167,7 @@ def max_clique(g, budget: int = DEFAULT_SOLVER_BUDGET) -> tuple[int, list[int]]:
     if n == 0:
         return 0, []
     order = sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v))
-    adj = rows_from_bool(bool_rows(g.adj, n)[np.ix_(order, order)])
+    adj = rows_from_bool(bool_rows(g.adj, n).take(order, 0).take(order, 1))
 
     # greedy clique seeds the incumbent
     cand = (1 << n) - 1

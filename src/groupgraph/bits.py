@@ -11,10 +11,6 @@ import numpy as np
 CHUNK_BYTES = 256 * 1024
 
 
-def mask_from_bool_array(arr: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -53,19 +49,6 @@ def words_from_bool(matrix: np.ndarray) -> np.ndarray:
     words = np.zeros((len(packed), (packed.shape[1] + 7) // 8), dtype=np.uint64)
     words.view(np.uint8)[:, :packed.shape[1]] = packed
     return words
-
-
-def words_disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (len(a), len(b)) bool matrix of which rows of ``a`` share no bit
-    with which rows of ``b`` (both rows of uint64 words, equally wide).
-    The ANDs are ORed together one word at a time, each a 2-d
-    (len(a), len(b)) array, so the temporaries take 17 bytes per pair
-    whatever the width."""
-    columns = b.T.copy()  # each word of every row of b, contiguous
-    hit = a[:, 0, None] & columns[0]
-    for k in range(1, a.shape[1]):
-        hit |= a[:, k, None] & columns[k]
-    return hit == 0
 
 
 def row_blocks(count: int, row_size: int, limit: int):

@@ -5,7 +5,8 @@ table, so isomorphic groups with different presentations never collide
 (they have different tables) while re-presentations of the same table hit.
 Entries carry their own checksum, and their subgroups must run from the
 trivial group to G in canonical order, each order field the popcount of
-its mask; anything that fails validation is discarded and recomputed.
+its mask and each generator hint generating its mask; anything that fails
+validation is discarded and recomputed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import logging
 import os
 from pathlib import Path
 
-from .errors import CacheError
+from .errors import CacheError, CriteriaDisagreement
 from .groups import FiniteGroup
 from .lattice import Subgroup, SubgroupLattice, all_subgroups
 
@@ -64,14 +65,18 @@ def lattice_from_text(group: FiniteGroup, text: str) -> SubgroupLattice:
     if conj is None or len(conj) != len(subgroups):
         raise CacheError("incomplete cache entry")
     _check_structure(group, subgroups)
-    return SubgroupLattice(group, subgroups, conj)
+    try:
+        return SubgroupLattice(group, subgroups, conj)
+    except CriteriaDisagreement as exc:
+        raise CacheError(str(exc)) from None
 
 
 def _check_structure(group: FiniteGroup, subgroups: list[Subgroup]) -> None:
     """Raise CacheError unless the subgroups run from the trivial group to
     G in strictly increasing (order, mask) order, each order field being
-    its mask's popcount: what the canonical order promises, and cheap to
-    check on every load."""
+    its mask's popcount and each hint index an element: what the
+    canonical order promises, and cheap to check on every load. The
+    lattice then checks that each hint generates its subgroup."""
     if not subgroups or (subgroups[0].mask, subgroups[0].order) != (1, 1):
         raise CacheError("the first subgroup is not the trivial group")
     if (subgroups[-1].mask, subgroups[-1].order) \
@@ -81,6 +86,9 @@ def _check_structure(group: FiniteGroup, subgroups: list[Subgroup]) -> None:
         if s.mask.bit_count() != s.order:
             raise CacheError(f"subgroup {s.mask:x} has order field {s.order}, "
                              f"but {s.mask.bit_count()} members")
+        if min(s.gen_hint, default=0) < 0:  # the lattice rejects the rest
+            raise CacheError(f"subgroup {s.mask:x} has a hint index out of "
+                             f"range: {s.gen_hint}")
     keys = [(s.order, s.mask) for s in subgroups]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise CacheError("subgroups are not in strictly increasing "

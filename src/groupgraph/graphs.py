@@ -16,9 +16,10 @@ so gamma adjacency is a popcount test: HK = G when |H||K| = |G||H n K|.
 
 ``build_graph`` runs both tests on packed uint64 words: the lattice's
 member words, and per vertex the words of the maximal subgroups above it,
-found by a subset test on the member words. The subset and join tests are
-``bits.words_disjoint``: 2-d (block, n) ANDs ORed together one word at a
-time, compared with 0 at the end. The popcount test runs only where it
+the vertex's ``supersets`` (the AND of ``contains`` over its generator
+hint) masked to the maximal ids. The join test ORs together 2-d
+(block, n) ANDs one word at a time and compares with 0 at the end, the
+words of every vertex transposed once. The popcount test runs only where it
 can pass. |H||K| = |G||H n K| is a multiple of |G| when HK = G, so at
 least |G|, and the vertices are sorted by order: a block of rows is
 popcounted, one word at a time, only against the columns from the first
@@ -29,6 +30,9 @@ counted per pair, stay within CHUNK_BYTES. Unchunked, a temporary grows
 with the square of the vertex count, 64 MB for the 2,823 vertices of
 elem_abelian(2,6); chunked, memory stays flat. No BLAS and no thread is
 used.
+
+The conjugation, complement and quotient vertex maps find each image from
+generators, by the lattice's ``smallest_holding``.
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ import numpy as np
 
 from . import perms
 from .analytics import is_induced_map, without_isolated
-from .bits import (CHUNK_BYTES, bool_array_from_mask, iter_bits,
-                   mask_from_bool_array, row_blocks, rows_from_bool,
-                   words_disjoint, words_from_bool)
+from .bits import (CHUNK_BYTES, bool_rows, iter_bits, row_blocks,
+                   rows_from_bool, words_from_bool)
 from .errors import GroupGraphError, NotNormal
 from .groups import FiniteGroup, quotient_with_projection, subgroup_group
 from .lattice import SubgroupLattice, all_subgroups
@@ -91,26 +94,32 @@ def build_graph(lat: SubgroupLattice, kind: str) -> SubgroupGraph:
         return star_reduction(build_graph(lat, "difference"))
     vertices = tuple(lat.nontrivial_proper_ids())
     n = len(vertices)
-    # vertex ids run from 1 to full_id - 1, so their words are one slice
+    # vertex ids run from 1 to full_id - 1, so their rows are one slice
     words = lat.member_words[1:lat.full_id]
-    outside_maximal = ~lat.member_words[lat.maximal_subgroups()]
-    above = np.zeros((n, (len(outside_maximal) + 63) // 64), dtype=np.uint64)
-    for rows in row_blocks(n, 17 * len(outside_maximal), CHUNK_BYTES):
-        above[rows] = words_from_bool(
-            words_disjoint(words[rows], outside_maximal))
+    supersets = lat.supersets[1:lat.full_id]
+    maximal = lat.maximal_subgroups()
+    above = np.zeros((n, (len(maximal) + 63) // 64), dtype=np.uint64)
+    for rows in row_blocks(n, len(lat.subgroups), CHUNK_BYTES):
+        above[rows] = words_from_bool(bool_rows(
+            supersets[rows], len(lat.subgroups))[:, maximal])
+    columns = above.T.copy()  # each word of every vertex, contiguous
     order = lat.group.order
     sizes = [lat.order_of(sid) for sid in vertices]
     orders = np.array(sizes, dtype=np.int64)
     adj: list[int] = []
-    # per pair: the edge bit, and the 17 bytes of words_disjoint or of a
-    # meet (its int64 count, then one word's AND and its popcount, or the
-    # int64 product and the comparison)
+    # per pair: the edge bit, and 17 bytes of temporaries: the join
+    # test's OR and AND words and the comparison, or a meet (its int64
+    # count, then one word's AND and its popcount, or the int64 product
+    # and the comparison)
     for rows in row_blocks(n, 18 * n, CHUNK_BYTES):
         stop = min(rows.stop, n)
         if kind == "gamma":
             edges = np.zeros((stop - rows.start, n), dtype=bool)
         else:  # <H, K> = G: no maximal subgroup above both
-            edges = words_disjoint(above[rows], above)
+            hit = above[rows, 0, None] & columns[0]
+            for k in range(1, above.shape[1]):
+                hit |= above[rows, k, None] & columns[k]
+            edges = hit == 0
         # HK = G needs |H||K| = |G||H n K| >= |G|, and the vertices are
         # sorted by order: the block's partners are the columns from the
         # first whose order times the block's largest reaches |G|
@@ -141,20 +150,20 @@ def star_reduction(graph: SubgroupGraph) -> SubgroupGraph:
 
 def conjugation_vertex_map(lat: SubgroupLattice, g_elem: int) -> list[int]:
     """The permutation H -> g H g^-1 of the standard vertex set (all
-    nontrivial proper subgroups), as a list over vertex positions; every
-    vertex is conjugated in one gather."""
-    # vertex ids run from 1 to full_id - 1, so their words are one slice
-    # and position = id - 1
-    words = lat.member_words[1:lat.full_id]
-    members = np.unpackbits(words.view(np.uint8), axis=1,
-                            count=lat.group.order).view(bool)
-    images = lat.group.conjugate_rows(members, g_elem)
-    return [lat.index_of[mask] - 1 for mask in rows_from_bool(images)]
+    nontrivial proper subgroups), as a list over vertex positions: the
+    smallest subgroup holding g hint(H) g^-1, of the order of H. Vertex
+    ids run from 1 to full_id - 1, so position = id - 1."""
+    return [sid - 1 for sid in lat.smallest_holding(
+        lat.subgroups[1:lat.full_id], lat.group.conj[g_elem].tolist())]
 
 
-def is_graph_automorphism(graph: SubgroupGraph, mapping: list[int]) -> bool:
-    """Does a vertex permutation preserve adjacency (hence an automorphism)?"""
-    return is_induced_map(graph, graph, mapping)
+def non_automorphisms(graph: SubgroupGraph, mappings) -> list[int]:
+    """The positions of the ``mappings`` that are not vertex permutations
+    preserving adjacency; the rows are unpacked once for all."""
+    adj = bool_rows(graph.adj, graph.n)
+    identity = list(range(graph.n))
+    return [pos for pos, m in enumerate(mappings) if sorted(m) != identity
+            or not (adj.take(m, 0).take(m, 1) == adj).all()]
 
 
 @dataclass
@@ -172,11 +181,12 @@ class GraphEmbedding:
 
 
 def _embedding(lat: SubgroupLattice, source: FiniteGroup,
-               target: SubgroupGraph | None, image_of,
+               target: SubgroupGraph | None, lift: list[int], over: int,
                memo: dict | None) -> GraphEmbedding:
-    """D(source) mapped into D(G) (``target``, built when None) by
-    ``image_of``, which takes a subgroup mask of the source to the mask of
-    its image subgroup in G.
+    """D(source) mapped into D(G) (``target``, built when None): each
+    subgroup S of the source goes to the smallest subgroup of G holding
+    the subgroup ``over`` and the ``lift`` (source element index -> G's)
+    of the hint of S, which must be of order |over||S|.
 
     ``memo`` maps the ``table_digest`` of a source to its lattice and
     difference graph. A source whose element table is already in it is
@@ -192,28 +202,26 @@ def _embedding(lat: SubgroupLattice, source: FiniteGroup,
     source_lat, source_graph = memo[key]
     if target is None:
         target = build_graph(lat, "difference")
-    vertex_map = [
-        target.vertex_pos[lat.index_of[image_of(source_lat.mask_of(sid))]]
-        for sid in source_graph.vertices]
+    vertex_map = [target.vertex_pos[sid] for sid in lat.smallest_holding(
+        [source_lat.subgroups[sid] for sid in source_graph.vertices], lift,
+        over)]
     return GraphEmbedding(source, source_lat, source_graph, target, vertex_map)
 
 
 def quotient_embedding(lat: SubgroupLattice, normal_id: int,
                        target: SubgroupGraph | None = None,
                        memo: dict | None = None) -> GraphEmbedding:
-    """D(G/N) mapped onto the subgroups of G containing N, H/N -> H."""
+    """D(G/N) mapped onto the subgroups of G containing N, H/N -> H: the
+    smallest subgroup holding N and a lift of the hint of H/N."""
     if not lat.is_normal[normal_id]:
         raise NotNormal(f"subgroup {normal_id} is not normal")
     if normal_id in (lat.trivial_id, lat.full_id):
         raise NotNormal("quotient embedding needs a nontrivial proper subgroup")
     quotient, projection = quotient_with_projection(
         lat.group, lat.mask_of(normal_id))
-
-    def preimage(q_mask: int) -> int:
-        return mask_from_bool_array(
-            bool_array_from_mask(q_mask, quotient.order)[projection])
-
-    return _embedding(lat, quotient, target, preimage, memo)
+    lift = np.empty(quotient.order, dtype=np.int64)
+    lift[projection] = np.arange(lat.group.order)  # any one lift per coset
+    return _embedding(lat, quotient, target, lift.tolist(), normal_id, memo)
 
 
 def semidirect_embedding(lat: SubgroupLattice,
@@ -221,7 +229,8 @@ def semidirect_embedding(lat: SubgroupLattice,
                          complement_id: int | None = None,
                          target: SubgroupGraph | None = None,
                          memo: dict | None = None) -> GraphEmbedding:
-    """For G = H x| K, map D(K) into D(G) by K1 -> H K1.
+    """For G = H x| K, map D(K) into D(G) by K1 -> H K1: the smallest
+    subgroup holding H and the hint of K1, of order |H||K1|.
 
     Defaults to the parts recorded by the semidirect constructor; explicit
     ids are validated (H normal, H n K trivial, |H||K| = |G|).
@@ -242,16 +251,8 @@ def semidirect_embedding(lat: SubgroupLattice,
         raise GroupGraphError("K is not a complement of H")
     k_group = subgroup_group(group, k_mask,
                              gen_hint=lat.subgroups[complement_id].gen_hint)
-    h_idx = np.array(list(iter_bits(h_mask)), dtype=np.int64)
-
-    def product_with_h(k1_mask: int) -> int:
-        k1_parent_idx = [group.element_index[k_group.elements[i]]
-                         for i in iter_bits(k1_mask)]
-        member = np.zeros(group.order, dtype=bool)
-        member[group.mul[np.ix_(h_idx, k1_parent_idx)]] = True
-        return mask_from_bool_array(member)
-
-    return _embedding(lat, k_group, target, product_with_h, memo)
+    return _embedding(lat, k_group, target, [
+        group.element_index[p] for p in k_group.elements], normal_id, memo)
 
 
 # -- serialization -----------------------------------------------------------

@@ -11,10 +11,7 @@ in ``element_index``, the dict from permutation to index. Every other row
 comes from two known rows by associativity: (a b) x = a (b x), so the row
 of a b is the row of a gathered at the row of b. No other entry is looked
 up: it is an index of the table by construction, and exact because the
-generator rows are. Inverses and conjugation are gathers of that table,
-and so is conjugating a subgroup: x lies in g H g^-1 exactly when
-g^-1 x g lies in H, so H's membership row is pulled back through
-``conj[g^-1]``.
+generator rows are. Inverses and conjugation are gathers of that table.
 
 The element table is a breadth-first closure of the generators, and
 ``stabilizer_chain_order`` certifies its size with Sims' chain: per level
@@ -230,14 +227,6 @@ class FiniteGroup:
             power = self.mul[power, pending]
             k += 1
         return orders
-
-    def conjugate_rows(self, member: np.ndarray, g) -> np.ndarray:
-        """Bool membership rows of the conjugates g H g^-1 of the subsets H
-        given by the bool rows ``member`` (last axis over the elements).
-        ``g`` is one conjugator, or an array of them whose axis comes just
-        before the last. x lies in g H g^-1 exactly when g^-1 x g lies in
-        H, so each image is ``member`` gathered at ``conj[inv[g]]``."""
-        return member[..., self.conj[self.inv[g]]]
 
     def normalizer_row(self, member: np.ndarray) -> np.ndarray:
         """The normalizer N(H) of the subgroup H with the bool membership

@@ -24,7 +24,7 @@ from .corpus import Corpus, tier_allows, tier_of_order
 from .errors import (ActionTableError, BudgetExceeded, GroupGraphError,
                      RealizeError)
 from .graphs import (SubgroupGraph, build_graph, conjugation_vertex_map,
-                     is_graph_automorphism, quotient_embedding,
+                     non_automorphisms, quotient_embedding,
                      semidirect_embedding, star_reduction)
 from .groups import FiniteGroup
 from .lattice import SubgroupLattice
@@ -169,9 +169,9 @@ def _t_22c(bundle):
     d = bundle.difference
     if d.edge_count() == 0:
         return _verdict("T-2.2c", bundle, "vacuous")
-    bad = [g for g in bundle.group.generator_indices()
-           if not is_graph_automorphism(
-               d, conjugation_vertex_map(bundle.lattice, g))]
+    gens = bundle.group.generator_indices()
+    bad = [gens[pos] for pos in non_automorphisms(
+        d, [conjugation_vertex_map(bundle.lattice, g) for g in gens])]
     return _implication("T-2.2c", bundle, vacuous=False,
                         conclusion=not bad, witness=bad,
                         note="checked on generator conjugations")

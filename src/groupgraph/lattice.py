@@ -8,9 +8,9 @@ zuppos <z> that are not inside H but whose p-th power z^p is (p the prime
 dividing the order of z), in increasing order of their least generator.
 Each new join brings in its whole conjugacy class at once, with
 conjugated ``gen_hint``s: g U g^-1 depends only on the coset g·N(U), so
-the class is walked on the cosets of U's normalizer and its members come
-from one conjugation gather. The joins are array passes over all the
-candidates of H:
+the class is walked on the cosets of U's normalizer and its members are
+scattered from one ``conj`` gather at U's members. The joins are array
+passes over all the candidates of H:
 
 - One join per N(H)-orbit. The candidate zuppos are permuted by the
   normalizer N(H), and <H, z^n> = <H, z>^n for n in N(H), a conjugate of
@@ -60,6 +60,13 @@ brute-force enumeration for small groups.
 Subgroups are bitsets over the parent group's element table, canonically
 ordered by (order, bitset value), so ids are stable across runs and safe
 to cache.
+
+Inclusion from generators. ``contains[x]`` is the bitset of the ids of the
+subgroups holding the element x. H lies in K exactly when K holds H's
+``gen_hint``, so H's supersets are the AND of ``contains`` over it. Ids
+are sorted by order, so its lowest bit is the smallest subgroup holding
+the hint, in a complete lattice the one it generates: it must be H, or
+CriteriaDisagreement is raised.
 """
 
 from __future__ import annotations
@@ -69,9 +76,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import (CHUNK_BYTES, bool_array_from_mask, bool_rows, iter_bits,
-                   lowest_bit, row_blocks, rows_from_bool, words_from_bool,
-                   words_disjoint)
-from .errors import CapExceeded
+                   lowest_bit, row_blocks, rows_from_bool, words_from_bool)
+from .errors import CapExceeded, CriteriaDisagreement
 from .groups import FiniteGroup, is_abelian
 from .primes import factorize
 
@@ -100,6 +106,8 @@ class SubgroupLattice:
         self.full_id = len(subgroups) - 1
         # each subgroup's packed uint64 member words, by id
         self.member_words = np.empty((0, 0), dtype=np.uint64)
+        # per element: the bitset of the ids of the subgroups holding it
+        self.contains: list[int] = []
         self.supersets: list[int] = []
         # class labels number the classes in order of their lowest id
         self.conj_class_of: list[int] = list(conj_class_of)
@@ -138,18 +146,26 @@ class SubgroupLattice:
             self.frattini_id = self.full_id
 
     def _compute_inclusion(self) -> None:
-        """Member words and supersets from one unpacking of the masks.
-        H lies in K when H's words are disjoint from the complements of
-        K's: ``words_disjoint``, ORing the ANDs one word at a time. The test
-        runs a block of rows of H against every K at a time, so that its
-        temporaries, 17 bytes per pair, stay within CHUNK_BYTES."""
-        words = self.member_words = words_from_bool(
-            bool_rows([s.mask for s in self.subgroups], self.group.order))
-        outside = ~words
+        """Member words, ``contains`` (the membership matrix's columns,
+        packed by blocks within CHUNK_BYTES) and hint-checked supersets."""
+        member = bool_rows([s.mask for s in self.subgroups], self.group.order)
+        self.member_words = words_from_bool(member)
+        contains = self.contains = []
+        for cols in row_blocks(self.group.order, len(member), CHUNK_BYTES):
+            contains.extend(rows_from_bool(member[:, cols].T.copy()))
+        del member
         self.supersets = []
-        for block in row_blocks(len(words), 17 * len(words), CHUNK_BYTES):
-            self.supersets.extend(
-                rows_from_bool(words_disjoint(words[block], outside)))
+        for sid, s in enumerate(self.subgroups):
+            above = contains[0]
+            try:
+                for x in s.gen_hint:
+                    above &= contains[x]
+            except IndexError:  # no subgroup holds an index past the end
+                above = 0
+            if lowest_bit(above) != sid:
+                raise CriteriaDisagreement(
+                    f"the hint {s.gen_hint} does not generate subgroup {sid}")
+            self.supersets.append(above)
 
     def _compute_sylow(self) -> None:
         self.sylow_index = {
@@ -169,6 +185,25 @@ class SubgroupLattice:
         """Smallest subgroup containing both; ids are order-sorted, so the
         lowest common superset id is the join."""
         return lowest_bit(self.supersets[h] & self.supersets[k])
+
+    def smallest_holding(self, subgroups, lift, over: int = 0) -> list[int]:
+        """For each subgroup S (of any group), the id of the smallest
+        subgroup holding the subgroup ``over`` and S's hint mapped by
+        ``lift`` (S's element indices -> G's): the lowest bit of the AND
+        of their ``contains`` and the supersets of ``over``. Finding one of
+        an order other than |over||S| means a subgroup is missing from the
+        lattice, and raises CriteriaDisagreement."""
+        ids, size = [], self.subgroups[over].order
+        for s in subgroups:
+            above = self.supersets[over]
+            for x in s.gen_hint:
+                above &= self.contains[lift[x]]
+            ids.append(lowest_bit(above))
+            if self.subgroups[ids[-1]].order != size * s.order:
+                raise CriteriaDisagreement(
+                    f"no subgroup of order {size * s.order} holds subgroup "
+                    f"{over} and the image of the hint {s.gen_hint}")
+        return ids
 
     def product_size(self, h: int, k: int) -> int:
         meet = (self.subgroups[h].mask & self.subgroups[k].mask).bit_count()
@@ -249,7 +284,8 @@ def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
     each named by its least element: conjugating the member of coset a by
     c gives the member of coset c·a. The depth-first walk takes the
     conjugators in order off one stack and conjugates the hints on the
-    way, and all members come from one conjugation gather at the end."""
+    way. The member of coset a is {a h a^-1 : h in H}: all members are
+    scattered from ``conj`` gathered at H's members, by blocks of rows."""
     if not conjugators:
         return [sub]
     n = group.order
@@ -272,9 +308,13 @@ def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
                 hints[b] = tuple(int(conj[c, i]) for i in hints[a])
                 stack.append(b)
     cosets = np.fromiter(hints, dtype=np.int64, count=len(hints))
+    members = np.flatnonzero(member)
     masks: list[int] = []
-    for rows in row_blocks(cosets.size, n * (1 + conj.itemsize), CHUNK_BYTES):
-        masks.extend(rows_from_bool(group.conjugate_rows(member, cosets[rows])))
+    # per row: the bool row, and the gathered indices and their intp copy
+    for rows in row_blocks(cosets.size, n + 16 * members.size, CHUNK_BYTES):
+        block = np.zeros((len(cosets[rows]), n), dtype=bool)
+        np.put_along_axis(block, conj[cosets[rows, None], members], True, 1)
+        masks.extend(rows_from_bool(block))
     return [Subgroup(mask, sub.order, hint)
             for mask, hint in zip(masks, hints.values())]
 

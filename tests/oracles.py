@@ -8,7 +8,7 @@ import numpy as np
 from groupgraph import perms, specs
 from groupgraph.analytics import Graph
 from groupgraph.bits import (bool_array_from_mask, iter_bits, lowest_bit,
-                             mask_from_bool_array, words_from_bool)
+                             rows_from_bool, words_from_bool)
 from groupgraph.classify import (_iwasawa_witness, derived_series_orders,
                                  derived_subgroup, is_dedekind)
 from groupgraph.errors import GroupGraphError
@@ -57,10 +57,24 @@ def sylow_subgroups(lat, p: int) -> list[int]:
     return list(lat.sylow_index[p])
 
 
+def mask_from_bool_array(arr: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(),
+                          "little")
+
+
+def conjugate_rows(group, member: np.ndarray, g) -> np.ndarray:
+    """Bool membership rows of the conjugates g H g^-1 of the subsets H
+    given by the bool rows ``member`` (last axis over the elements).
+    ``g`` is one conjugator, or an array of them whose axis comes just
+    before the last. x lies in g H g^-1 exactly when g^-1 x g lies in H,
+    so each image is ``member`` gathered at ``conj[inv[g]]``."""
+    return member[..., group.conj[group.inv[g]]]
+
+
 def conjugate_mask(group, mask: int, g: int) -> int:
     """The bitset g H g^-1 of the bitset H, through ``conjugate_rows``."""
     return mask_from_bool_array(
-        group.conjugate_rows(bool_array_from_mask(mask, group.order), g))
+        conjugate_rows(group, bool_array_from_mask(mask, group.order), g))
 
 
 def mask_from_indices(indices) -> int:
@@ -138,6 +152,46 @@ def inclusion_by_rows(lat):
         supersets.append(int.from_bytes(
             np.packbits(covered, bitorder="little").tobytes(), "little"))
     return words, supersets
+
+
+def conjugation_vertex_map_by_rows(lat, g: int) -> list[int]:
+    """The permutation H -> g H g^-1 of the vertex positions, every
+    vertex's member row conjugated in one gather and looked up by mask."""
+    words = lat.member_words[1:lat.full_id]
+    members = np.unpackbits(words.view(np.uint8), axis=1,
+                            count=lat.group.order).view(bool)
+    images = conjugate_rows(lat.group, members, g)
+    return [lat.index_of[mask] - 1 for mask in rows_from_bool(images)]
+
+
+def quotient_vertex_map_by_rows(lat, normal_id: int, emb) -> list[int]:
+    """``quotient_embedding``'s vertex map, one vertex at a time: the
+    member row of each subgroup S/N of the quotient pulled back through
+    the projection, looked up by mask."""
+    quotient, projection = quotient_with_projection(
+        lat.group, lat.mask_of(normal_id))
+    target = emb.target_graph
+    return [target.vertex_pos[lat.index_of[mask_from_bool_array(
+        bool_array_from_mask(emb.source_lattice.mask_of(sid),
+                             quotient.order)[projection])]]
+        for sid in emb.source_graph.vertices]
+
+
+def complement_vertex_map_by_rows(lat, normal_id: int, emb) -> list[int]:
+    """``semidirect_embedding``'s vertex map, one vertex at a time: the
+    set product H K1 of each subgroup K1 of the complement, one ``mul``
+    gather, looked up by mask."""
+    group = lat.group
+    h_idx = np.array(list(iter_bits(lat.mask_of(normal_id))), dtype=np.int64)
+    out = []
+    for sid in emb.source_graph.vertices:
+        k1 = [group.element_index[emb.source_group.elements[i]]
+              for i in iter_bits(emb.source_lattice.mask_of(sid))]
+        member = np.zeros(group.order, dtype=bool)
+        member[group.mul[np.ix_(h_idx, k1)]] = True
+        out.append(emb.target_graph.vertex_pos[
+            lat.index_of[mask_from_bool_array(member)]])
+    return out
 
 
 def closure_mask_by_cosets(group, seed_indices, generator_indices,

@@ -7,8 +7,9 @@ from groupgraph import all_subgroups, realize
 from groupgraph.cache import (FORMAT_VERSION, cache_path, lattice_from_text,
                               lattice_to_text, load_or_compute)
 from groupgraph.cli import main as cli_main
-from groupgraph.errors import CacheError
+from groupgraph.errors import CacheError, CriteriaDisagreement
 from groupgraph.groups import FiniteGroup
+from groupgraph.lattice import Subgroup, SubgroupLattice
 
 
 def test_roundtrip_is_bit_identical(tmp_path):
@@ -209,6 +210,20 @@ def swap_order_two_records(subs, conj):
     return subs, conj
 
 
+def rehint(pos: int, hint: str):
+    """An edit that replaces the hint field of sub record ``pos``."""
+    def edit(subs, conj):
+        subs = list(subs)
+        subs[pos] = subs[pos].rpartition(" ")[0] + " " + hint
+        return subs, conj
+    return edit
+
+
+def hint_of(pos: int) -> str:
+    return lattice_to_text(all_subgroups(realize("symmetric(3)"))) \
+        .splitlines()[2 + pos].rpartition(" ")[2]
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda subs, conj: (subs[1:], relabel(conj[1:])),
      "first subgroup is not the trivial group"),
@@ -220,13 +235,21 @@ def swap_order_two_records(subs, conj):
     (swap_order_two_records, "not in strictly increasing"),
     (lambda subs, conj: (subs[:2] + subs[1:], conj[:2] + conj[1:]),
      "not in strictly increasing"),
+    # the hint of another order-2 subgroup, one generator of S3, and
+    # indices past either end of the element table
+    (rehint(1, hint_of(2)), "does not generate subgroup 1"),
+    (rehint(5, hint_of(5).split(",")[0]), "does not generate subgroup 5"),
+    (rehint(1, "6"), "does not generate subgroup 1"),
+    (rehint(4, "-1"), "out of range"),
 ], ids=["no-trivial", "no-whole-group", "order-field", "swapped",
-        "repeated"])
+        "repeated", "other-hint", "short-hint", "hint-past-end",
+        "negative-hint"])
 def test_entry_that_misstates_its_structure_is_recomputed(
         tmp_path, caplog, edit, message):
     """A checksummed entry whose records do not run from the trivial group
-    to G in canonical order, with true orders, is a CacheError, and
-    ``load_or_compute`` discards it with a log line and recomputes."""
+    to G in canonical order, with true orders and hints that generate
+    their subgroups, is a CacheError, and ``load_or_compute`` discards it
+    with a log line and recomputes."""
     group = realize("symmetric(3)")
     text = rechecksummed(group, edit)
     with pytest.raises(CacheError, match=message):
@@ -240,6 +263,19 @@ def test_entry_that_misstates_its_structure_is_recomputed(
                for rec in caplog.records)
     assert path.read_text() == lattice_to_text(lat) \
         == lattice_to_text(all_subgroups(group))
+
+
+@pytest.mark.parametrize("pos,hint", [(1, (2,)), (5, (1,)), (1, (6,)),
+                                      (4, (-1,))])
+def test_the_same_hints_raise_on_a_lattice_in_memory(pos, hint):
+    """The hint edits above, made to the subgroups of a lattice built in
+    memory, raise when the lattice is annotated."""
+    group = realize("symmetric(3)")
+    lat = all_subgroups(group)
+    subgroups = list(lat.subgroups)
+    subgroups[pos] = Subgroup(subgroups[pos].mask, subgroups[pos].order, hint)
+    with pytest.raises(CriteriaDisagreement):
+        SubgroupLattice(group, subgroups, lat.conj_class_of)
 
 
 def test_structure_checks_pass_on_the_untouched_entry():

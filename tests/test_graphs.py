@@ -2,16 +2,24 @@ import tracemalloc
 
 import pytest
 
+# the complement maps (T-2.2f) and quotient maps (T-2.2g) of the fast tier
+COMPLEMENT_MAPS, QUOTIENT_MAPS = 4, 511
+
 from groupgraph import build_graph, graphs, realize, star_reduction
 from groupgraph.bits import iter_bits
 from groupgraph.cache import load_or_compute
 from groupgraph.corpus import tier_allows
-from groupgraph.errors import GroupGraphError, NotNormal
+from groupgraph.errors import CriteriaDisagreement, GroupGraphError, NotNormal
 from groupgraph.graphs import (KINDS, conjugation_vertex_map,
-                               graph_to_json_dict, is_graph_automorphism,
+                               graph_to_json_dict, non_automorphisms,
                                quotient_embedding, semidirect_embedding,
                                to_dot)
-from oracles import mask_from_indices, pair_loop_mismatches
+from groupgraph.harness import (QUOTIENT_EMBED_MAX_COUNT,
+                                QUOTIENT_EMBED_MAX_INDEX)
+from groupgraph.lattice import SubgroupLattice
+from oracles import (complement_vertex_map_by_rows,
+                     conjugation_vertex_map_by_rows, mask_from_indices,
+                     pair_loop_mismatches, quotient_vertex_map_by_rows)
 
 
 def test_build_graph_matches_the_pair_loop_on_the_fast_tier(
@@ -149,7 +157,7 @@ def test_conjugation_swaps_reflections_in_d4(make, dgraph):
     moved = [i for i, j in enumerate(mapping) if i != j]
     orders = {lat.order_of(d.vertices[i]) for i in moved}
     assert moved and orders == {2}   # conjugation by r swaps reflection pairs
-    assert is_graph_automorphism(d, mapping)
+    assert non_automorphisms(d, [mapping]) == []
 
 
 @pytest.mark.parametrize("text", [
@@ -159,9 +167,80 @@ def test_conjugation_is_automorphism_of_all_kinds(make, dgraph, text):
     g, lat = make(text)
     for kind in ("gamma", "delta", "difference"):
         graph = dgraph(text, kind)
-        for e in range(g.order):
-            assert is_graph_automorphism(
-                graph, conjugation_vertex_map(lat, e))
+        assert non_automorphisms(graph, [
+            conjugation_vertex_map(lat, e) for e in range(g.order)]) == []
+
+
+def test_vertex_maps_match_the_gather_based_maps_on_the_fast_tier(
+        corpus, fast_report, shared_cache):
+    """On every fast-tier lattice: the conjugation map of every generator
+    (T-2.2c), the complement map of a semidirect product (T-2.2f) and the
+    quotient map of every normal subgroup that T-2.2g checks, against the
+    maps that gather whole member rows and look the images up by mask."""
+    checked = complements = quotients = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if not tier_allows("fast", group.order):
+            continue
+        lat = load_or_compute(group, shared_cache)[0]
+        target, memo = build_graph(lat, "difference"), {}
+        for g in group.generator_indices():
+            assert conjugation_vertex_map(lat, g) \
+                == conjugation_vertex_map_by_rows(lat, g), entry.label
+        if group.semidirect_normal_mask is not None:
+            emb = semidirect_embedding(lat, target=target, memo=memo)
+            normal_id = lat.index_of[group.semidirect_normal_mask]
+            assert emb.vertex_map == complement_vertex_map_by_rows(
+                lat, normal_id, emb), entry.label
+            complements += 1
+        normals = [sid for sid in lat.nontrivial_proper_ids()
+                   if lat.is_normal[sid] and group.order // lat.order_of(sid)
+                   <= QUOTIENT_EMBED_MAX_INDEX][:QUOTIENT_EMBED_MAX_COUNT]
+        for sid in normals:
+            emb = quotient_embedding(lat, sid, target=target, memo=memo)
+            assert emb.vertex_map == quotient_vertex_map_by_rows(
+                lat, sid, emb), entry.label
+            quotients += 1
+        checked += 1
+    assert checked == len(fast_report.labels)
+    assert (complements, quotients) == (COMPLEMENT_MAPS, QUOTIENT_MAPS)
+
+
+@pytest.mark.parametrize("text", ["psl2(8)", "psl2(13)"])
+def test_conjugation_maps_match_the_gather_based_maps(make, text):
+    group, lat = make(text)
+    for g in group.generator_indices():
+        assert conjugation_vertex_map(lat, g) \
+            == conjugation_vertex_map_by_rows(lat, g)
+
+
+def test_a_missing_subgroup_raises_instead_of_mapping_wrongly(make):
+    """D4 without one of its reflection subgroups: conjugation takes the
+    other reflection of that class onto it, and the smallest subgroup
+    left holding the image is of order 4."""
+    group, lat = make("dihedral(4)")
+    gone = next(sid for sid in lat.nontrivial_proper_ids()
+                if len(lat.conjugates(sid)) == 2)
+    twin = next(c for c in lat.conjugates(gone) if c != gone)
+    kept = [sid for sid in range(lat.subgroup_count()) if sid != gone]
+    partial = SubgroupLattice(group, [lat.subgroups[sid] for sid in kept],
+                              [lat.conj_class_of[sid] for sid in kept])
+    g = next(x for x in range(group.order)
+             if lat.mask_of(gone) == conjugate_mask_of(lat, twin, x))
+    with pytest.raises(CriteriaDisagreement, match="no subgroup of order 2 holds subgroup 0"):
+        conjugation_vertex_map(partial, g)
+
+
+def conjugate_mask_of(lat, sid: int, g: int) -> int:
+    return mask_from_indices(lat.group.conj[g, x]
+                             for x in iter_bits(lat.mask_of(sid)))
+
+
+def test_non_automorphisms_reports_maps_that_are_not_permutations(dgraph):
+    d = dgraph("dihedral(3)")
+    identity = list(range(d.n))
+    assert non_automorphisms(d, [identity, [0] * d.n, identity[:-1],
+                                 identity[1:] + [d.n]]) == [1, 2, 3]
 
 
 def test_quotient_embedding_s3xz2(make):

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from functools import cache
 
@@ -12,7 +13,8 @@ from groupgraph.bits import (CHUNK_BYTES, bool_array_from_mask, bool_rows,
                              iter_bits, rows_from_bool)
 from groupgraph.cache import load_or_compute
 from groupgraph.corpus import tier_allows
-from groupgraph.errors import CapExceeded, GroupGraphError
+from groupgraph.errors import (CapExceeded, CriteriaDisagreement,
+                               GroupGraphError)
 from groupgraph.graphs import (build_graph, conjugation_vertex_map,
                                star_reduction)
 from groupgraph.groups import FiniteGroup, is_abelian
@@ -20,7 +22,8 @@ from groupgraph.lattice import SubgroupLattice, _conjugacy_class, _zuppos
 from groupgraph.perms import format_cycles, parse_cycles
 from oracles import (brute_force_subgroup_masks, closure_mask_by_cosets,
                      conjugacy_class_by_bits, conjugate_mask,
-                     conjugate_mask_by_bits, cyclic_extension_lattice,
+                     conjugate_mask_by_bits, conjugate_rows,
+                     cyclic_extension_lattice,
                      inclusion_by_rows, normalizer, pair_loop_mismatches,
                      perm_order, quotient_group, subgroup_generated,
                      sylow_subgroups)
@@ -178,7 +181,7 @@ def test_conjugation_pull_back_matches_the_per_bit_loop_on_the_fast_tier(
         members = bool_rows(masks, group.order)
         for g in group.generator_indices():
             expected = [conjugate_mask_by_bits(group, m, g) for m in masks]
-            assert rows_from_bool(group.conjugate_rows(members, g)) \
+            assert rows_from_bool(conjugate_rows(group, members, g)) \
                 == expected, entry.label
             assert [conjugate_mask(group, m, g) for m in masks] == expected
             assert conjugation_vertex_map(lat, g) == [
@@ -232,9 +235,60 @@ def test_inclusion_matches_the_per_row_loop_on_the_fast_tier(
     assert checked == len(fast_report.labels)
 
 
-@pytest.mark.parametrize("text", ["psl2(8)", "symmetric(6)"])
+@pytest.mark.parametrize("text", ["psl2(8)", "symmetric(6)", "psl2(13)"])
 def test_inclusion_matches_the_per_row_loop(make, text):
     assert inclusion_mismatches(make(text)[1]) == []
+
+
+@pytest.mark.skipif(not os.environ.get("GROUPGRAPH_LONG"),
+                    reason="long tier: set GROUPGRAPH_LONG=1 to run it")
+def test_inclusion_matches_the_per_row_loop_on_alternating_7(make):
+    assert inclusion_mismatches(make("alternating(7)")[1]) == []
+
+
+def rehinted(lat, sid: int, hint) -> list:
+    """The subgroups of ``lat`` with subgroup ``sid``'s hint replaced."""
+    subgroups = list(lat.subgroups)
+    subgroups[sid] = lattice.Subgroup(lat.mask_of(sid), lat.order_of(sid),
+                                      tuple(hint))
+    return subgroups
+
+
+@pytest.mark.parametrize("text", ["dihedral(4)", "symmetric(4)", "psl2(7)"])
+def test_a_hint_that_does_not_generate_its_subgroup_raises(make, text):
+    """Each subgroup's hint is checked by the lowest bit of its supersets:
+    a hint cut down to a smaller subgroup, a hint of another subgroup of
+    the same order, a hint outside the subgroup and an index outside the
+    group all raise."""
+    group, lat = make(text)
+    SubgroupLattice(group, lat.subgroups, lat.conj_class_of)
+    full = lat.subgroups[lat.full_id]
+    twin = next(c for c in lat.conjugates(1) if c != 1) \
+        if len(lat.conjugates(1)) > 1 else None
+    outside = next(x for x in range(group.order) if not lat.mask_of(1) >> x & 1)
+    cases = [(lat.full_id, full.gen_hint[:1]), (1, (outside,)),
+             (1, lat.subgroups[1].gen_hint + (group.order,)),
+             (0, (group.order + 5,))]
+    if twin is not None:
+        cases.append((1, lat.subgroups[twin].gen_hint))
+    for sid, hint in cases:
+        with pytest.raises(CriteriaDisagreement):
+            SubgroupLattice(group, rehinted(lat, sid, hint),
+                            lat.conj_class_of)
+
+
+@pytest.mark.parametrize("text,count", [("symmetric(6)", 1455)])
+def test_published_subgroup_counts(make, text, count):
+    # OEIS A005432: the number of subgroups of S_n
+    assert make(text)[1].subgroup_count() == count
+
+
+@pytest.mark.skipif(not os.environ.get("GROUPGRAPH_LONG"),
+                    reason="long tier: set GROUPGRAPH_LONG=1 to run it")
+@pytest.mark.parametrize("text,count", [
+    ("alternating(7)", 3786), ("symmetric(7)", 11300)])
+def test_published_subgroup_counts_long(make, text, count):
+    assert make(text)[1].subgroup_count() == count
 
 
 def test_inclusion_is_chunk_size_independent(make, monkeypatch):
