@@ -60,7 +60,8 @@ def without_isolated(g) -> tuple[list[int], list[int]]:
     keep = [v for v, row in enumerate(g.adj) if row]
     if len(keep) == g.n:
         return keep, list(g.adj)
-    return keep, rows_from_bool(bool_rows([g.adj[v] for v in keep], g.n)[:, keep])
+    return keep, rows_from_bool(
+        bool_rows([g.adj[v] for v in keep], g.n).take(keep, axis=1))
 
 
 def is_connected(g) -> bool:

@@ -26,8 +26,7 @@ passes over all the candidates of H:
   ``FiniteGroup.closure_masks`` together, with H as the known subgroup:
   Dimino's coset-wise closure (Holt, Eick & O'Brien, *Handbook of
   Computational Group Theory*, 2005), all closures in lock-step. The loop
-  then reads their joins in order; a candidate that an earlier
-  prime-index join skips is closed but never read.
+  then reads every candidate's join once, in order.
 
 Completeness. Every element is the product of commuting prime-power
 powers of itself, so a subgroup K is generated by the zuppos inside it.
@@ -36,26 +35,24 @@ Adjoin them to the trivial subgroup in order of increasing order: when
 in the subgroup built so far. Every subgroup is therefore reached by a
 chain of the joins described above. Conjugation permutes the lattice and
 maps such a chain to another one, so extending one representative per
-class loses no class, and adding whole classes loses no subgroup. When a
-join U = <H, z> has prime index over H, every y in U outside H gives
-<H, y> = U (Lagrange), so those zuppos are skipped for H. A candidate
-left out as not the least of its N(H)-orbit has a join conjugate to the
-least one's, which was either joined or skipped inside a prime-index join
-equal to it, so its class is found as well.
+class loses no class, and adding whole classes loses no subgroup. A
+candidate left out as not the least of its N(H)-orbit has a join
+conjugate to the least one's, so its class is found as well.
 
 Same output as the unpruned loop. The loop meets zuppos in increasing
 order. The first zuppo whose join lies in a class not found yet is the
 least of its N(H)-orbit: the join of a smaller orbit member is conjugate
-to it, so that member would have found the class first, or been skipped
-inside a prime-index join that already had. The zuppos left out only give
-joins in classes already found, and every prime-index skip is one the
-unpruned loop makes too. So each class is first found by the same
-representative, zuppo and ``gen_hint``. The walk over a class on cosets
-meets its members in the order of a walk over their masks, each from the
-same member by the same conjugator, so the conjugated hints agree too.
-The masks, hints and class labels are therefore those of the unpruned
-loop, which the test suite keeps as an oracle and cross-checks against a
-brute-force enumeration for small groups.
+to it, so that member would have found the class first. The zuppos left
+out only give joins in classes already found. The unpruned loop also
+skips the zuppos y inside an earlier join U of prime index over H; that
+skip changes nothing, as <H, y> = U (Lagrange), which is already found.
+So each class is first found by the same representative, zuppo and
+``gen_hint``. The walk over a class on cosets meets its members in the
+order of a walk over their masks, each from the same member by the same
+conjugator, so the conjugated hints agree too. The masks, hints and
+class labels are therefore those of the unpruned loop, which the test
+suite keeps as an oracle and cross-checks against a brute-force
+enumeration for small groups.
 
 Subgroups are bitsets over the parent group's element table, canonically
 ordered by (order, bitset value), so ids are stable across runs and safe
@@ -320,9 +317,9 @@ def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
 
 
 def _product_sets(group: FiniteGroup, inside: np.ndarray, zuppos,
-                  zgen_idx, primes, zmembers) -> dict[int, tuple]:
+                  zgen_idx, primes, zmembers) -> dict[int, int]:
     """H·<z> for each listed zuppo z that normalizes H (given by its bool
-    ``inside`` row), as (bitset, bool row) pairs keyed by zuppo number.
+    ``inside`` row), as bitsets keyed by zuppo number.
 
     Zuppos in the same right coset H·z have the same join, so one row is
     built per coset, for one of its zuppos; the cosets are told apart by
@@ -337,7 +334,7 @@ def _product_sets(group: FiniteGroup, inside: np.ndarray, zuppos,
     slot[least] = np.arange(zuppos.size)
     lead = zuppos[slot[least]].tolist()
     leaders = sorted(set(lead))
-    products: dict[int, tuple] = {}
+    products: dict[int, int] = {}
     for p in sorted({primes[z] for z in leaders}):
         same = [z for z in leaders if primes[z] == p]
         # z, z^2, ..., z^(p-1) for each zuppo, one row each
@@ -345,7 +342,7 @@ def _product_sets(group: FiniteGroup, inside: np.ndarray, zuppos,
         cosets = group.mul[members[:, None, None], powers[None]]
         rows = np.repeat(inside[None], len(same), axis=0)
         rows[np.arange(len(same))[None, :, None], cosets] = True
-        products.update(zip(same, zip(rows_from_bool(rows), rows)))
+        products.update(zip(same, rows_from_bool(rows)))
     return dict(zip(zuppos.tolist(), map(products.__getitem__, lead)))
 
 
@@ -358,9 +355,6 @@ def all_subgroups(group: FiniteGroup,
     zgens, zprimes, zpowers, zmembers, zuppo_of = _zuppos(group)
     zgen_idx = np.array(zgens, dtype=np.int64)
     zpow_idx = np.array(zpowers, dtype=np.int64)
-    # the index of a subgroup over another divides n, so it is prime when
-    # it is one of n's prime factors
-    index_primes = set(factorize(n))
     abelian = is_abelian(group)
     conjugators = [] if abelian else group.generator_indices()
     trivial = Subgroup(1, 1, ())
@@ -373,8 +367,7 @@ def all_subgroups(group: FiniteGroup,
         inside = bool_array_from_mask(rep.mask, n)
         members = np.flatnonzero(inside)
         # extend only by zuppos <z> outside rep with z^p inside it
-        skip = inside[zgen_idx] | ~inside[zpow_idx]
-        candidates = np.flatnonzero(~skip)
+        candidates = np.flatnonzero(~inside[zgen_idx] & inside[zpow_idx])
         if abelian:
             normalizes = np.ones(len(candidates), dtype=bool)
         else:
@@ -385,24 +378,18 @@ def all_subgroups(group: FiniteGroup,
                                         zgen_idx[candidates]]].min(axis=0)
             candidates = candidates[least == candidates]
             normalizes = in_normalizer[zgen_idx[candidates]]
-        products = _product_sets(group, inside, candidates[normalizes],
-                                 zgen_idx, zprimes, zmembers)
-        # the other joins are closed together, H being the known subgroup;
-        # a few of them fall inside a later prime-index join and go unread
+        joins = _product_sets(group, inside, candidates[normalizes],
+                              zgen_idx, zprimes, zmembers)
+        # the other joins are closed together, H being the known subgroup
         closing = candidates[~normalizes].tolist()
-        closed = dict(zip(closing, group.closure_masks(
+        joins.update(zip(closing, group.closure_masks(
             [zmembers[z] for z in closing],
             [rep.gen_hint + (zgens[z],) for z in closing], members)))
         for z in candidates.tolist():
-            if skip[z]:
-                continue
-            hint = rep.gen_hint + (zgens[z],)
-            if z in products:
-                joined, row = products[z]
-            else:
-                joined, row = closed[z], None
+            joined = joins[z]
             if joined not in found:
-                new = Subgroup(joined, joined.bit_count(), hint)
+                new = Subgroup(joined, joined.bit_count(),
+                               rep.gen_hint + (zgens[z],))
                 for s in _conjugacy_class(group, conjugators, new):
                     if len(found) >= subgroup_cap:
                         raise CapExceeded(
@@ -410,11 +397,6 @@ def all_subgroups(group: FiniteGroup,
                     found[s.mask] = s
                     class_of[s.mask] = len(reps)
                 reps.append(new)
-            if joined.bit_count() // rep.order in index_primes:
-                # any zuppo in joined but not in rep generates joined with rep
-                if row is None:
-                    row = bool_array_from_mask(joined, n)
-                skip |= row[zgen_idx]
     ordered = sorted(found.values(), key=lambda s: (s.order, s.mask))
     labels: dict[int, int] = {}
     return SubgroupLattice(

@@ -186,9 +186,6 @@ def _validate(spec: GroupSpec, pos: int) -> GroupSpec:
                 and isinstance(args[2], str)):
             raise SpecDomainError(
                 "semidirect() needs (normal expr, acting expr, action id)")
-    elif kind == "raw":
-        if not args:
-            raise SpecDomainError("raw() needs at least one permutation")
     return spec
 
 

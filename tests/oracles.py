@@ -496,6 +496,15 @@ def pair_loop_mismatches(lat) -> list[str]:
 # -- small graphs and brute-force graph scans ----------------------------------
 
 
+def relabel(g, perm) -> Graph:
+    """``g`` with each vertex v renamed ``perm[v]``."""
+    adj = [0] * g.n
+    for v in range(g.n):
+        for w in iter_bits(g.adj[v]):
+            adj[perm[v]] |= 1 << perm[w]
+    return Graph(g.n, tuple(adj))
+
+
 def cycle_graph(n: int) -> Graph:
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -19,8 +20,9 @@ from groupgraph.errors import (BudgetExceeded, CriteriaDisagreement,
                                GroupGraphError)
 from oracles import (complete_graph, cycle_graph, find_induced_p4,
                      graph_from_edges, has_induced_odd_cycle, induces_cycle,
-                     is_induced_map_by_pairs, networkx_invariants,
-                     path_graph, report_invariants)
+                     is_induced_map_by_pairs, networkx_graph,
+                     networkx_invariants, path_graph, relabel,
+                     report_invariants)
 
 
 def random_graph(n, p, seed):
@@ -399,6 +401,59 @@ def test_isomorphism_distinguishes_regular_graphs():
     assert graphs_isomorphic(prism, shuffle_graph(prism, 5))
 
 
+def cube_and_wagner_graphs():
+    """Q3 and the Wagner graph: both cubic on 8 vertices with 12 edges,
+    connected and triangle-free, so they pass every prefilter; Q3 is
+    bipartite and the Wagner graph is not."""
+    cube = graph_from_edges(8, [(v, v ^ bit) for v in range(8)
+                                for bit in (1, 2, 4) if v < v ^ bit])
+    wagner = graph_from_edges(8, [(v, (v + 1) % 8) for v in range(8)]
+                              + [(v, v + 4) for v in range(4)])
+    return cube, wagner
+
+
+def test_isomorphism_rejects_a_pair_that_passes_every_prefilter():
+    import networkx as nx
+    cube, wagner = cube_and_wagner_graphs()
+    assert an.degree_sequence(cube) == an.degree_sequence(wagner) == [3] * 8
+    assert an.triangle_count(cube) == an.triangle_count(wagner) == 0
+    assert len(components(cube)) == len(components(wagner)) == 1
+    assert not graphs_isomorphic(cube, wagner)
+    assert not nx.is_isomorphic(networkx_graph(cube), networkx_graph(wagner))
+    assert graphs_isomorphic(wagner, shuffle_graph(wagner, 3))
+
+
+@st.composite
+def equal_degree_pairs(draw):
+    """A small graph and the graph after a few degree-preserving edge
+    switches: edges ab, cd become ad, cb when neither exists yet."""
+    g = draw(small_graphs(n=draw(st.integers(5, 9))))
+    adj = list(g.adj)
+    for _ in range(draw(st.integers(1, 8))):
+        edges = [(i, j) for i in range(g.n) for j in iter_bits(adj[i])]
+        if not edges:
+            break
+        (a, b), (c, d) = (edges[draw(st.integers(0, len(edges) - 1))]
+                          for _ in range(2))
+        if len({a, b, c, d}) == 4 \
+                and not adj[a] >> d & 1 and not adj[c] >> b & 1:
+            for u, v, w in ((a, b, d), (c, d, b)):
+                adj[u] ^= 1 << v | 1 << w
+                adj[v] &= ~(1 << u)
+                adj[w] |= 1 << u
+    return g, Graph(g.n, tuple(adj))
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_degree_pairs())
+def test_isomorphism_matches_networkx_on_equal_degree_sequences(pair):
+    import networkx as nx
+    g, h = pair
+    assert an.degree_sequence(g) == an.degree_sequence(h)
+    assert graphs_isomorphic(g, h) \
+        == nx.is_isomorphic(networkx_graph(g), networkx_graph(h))
+
+
 def test_isomorphism_budget():
     # vertex-transitive graphs force individualization, so the node budget bites
     g = cycle_graph(16)
@@ -623,3 +678,46 @@ def test_analyze_leaves_the_recursion_limit_as_it_found_it():
     report = an.analyze(g)
     assert (report.clique_number, report.independence_number) == (2, 600)
     assert sys.getrecursionlimit() == before
+
+
+# -- vertex relabelling ----------------------------------------------------------
+
+def assert_relabelling_keeps_the_invariants(g, perm):
+    """``analyze`` and the odd-hole scan see the same graph after the
+    vertices are renamed by ``perm``: the same report with the universal
+    vertices renamed, and a hole or antihole exactly when before."""
+    h = relabel(g, perm)
+    report = an.analyze(g)
+    assert an.analyze(h) == replace(report, universal_vertices=sorted(
+        perm[v] for v in report.universal_vertices))
+    found, moved = find_odd_hole_or_antihole(g), find_odd_hole_or_antihole(h)
+    assert (found is None) == (moved is None)
+    if found is not None:
+        assert moved[0] == found[0]
+        assert_valid_witness(h, moved)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_relabelling_keeps_the_invariants_of_graphs_with_isolated_vertices(
+        data):
+    g = data.draw(graphs_with_isolated())
+    assert_relabelling_keeps_the_invariants(
+        g, data.draw(st.permutations(range(g.n))))
+
+
+@pytest.fixture(scope="module")
+def mini_graphs(mini_corpus, dgraph):
+    """D and D* of every mini-corpus group."""
+    from groupgraph import star_reduction
+    graphs = [dgraph(entry.spec_text) for entry in mini_corpus]
+    return graphs + [star_reduction(g) for g in graphs]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_relabelling_keeps_the_invariants_of_the_mini_corpus_graphs(
+        mini_graphs, data):
+    for g in mini_graphs:
+        assert_relabelling_keeps_the_invariants(
+            g, data.draw(st.permutations(range(g.n))))

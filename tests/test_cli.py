@@ -3,7 +3,10 @@ import json
 import pytest
 
 from groupgraph.cli import build_parser, main
-from groupgraph.harness import Budgets, build_bundle, registry_table
+from groupgraph import cli
+from groupgraph.harness import (Budgets, HuntFinding, build_bundle, hunt,
+                                registry_table)
+from groupgraph.corpus import load_corpus
 
 MINI = """\
 s3 = dihedral(3)
@@ -50,6 +53,17 @@ def test_group_info_psl27(capsys):
     assert payload["classification"]["simple"] is True
 
 
+def test_group_info_as_text(capsys):
+    code, out, _ = run_cli(capsys, "group", "symmetric(4)", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        "spec: symmetric(4)", "order: 24", "degree: 4", "subgroup_count: 30",
+        "nontrivial_proper_subgroups: 28", "  abelian: False",
+        "  dedekind: False", "  iwasawa: False", "  nilpotent: False",
+        "  solvable: True", "  supersolvable: False", "  simple: False",
+        "  p_group: False"]
+
+
 def test_lattice_summary(capsys):
     code, out, _ = run_cli(capsys, "lattice", "dicyclic(2)", "--format", "json")
     payload = json.loads(out)
@@ -71,6 +85,16 @@ def test_graph_dot_dstar_d4(capsys):
     assert code == 0
     assert out.startswith("graph difference_star {")
     assert out.count(" -- ") == 4
+
+
+def test_graph_as_text(capsys):
+    code, out, _ = run_cli(capsys, "graph", "dihedral(3)", "--kind", "d",
+                           "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        "kind: difference", "group: dihedral(3)", "vertices: 4", "edges: 3",
+        "  1 2:<(1 2)>", "  2 2:<(0 1)>", "  3 2:<(0 2)>", "  4 3:<(0 1 2)>",
+        "  edge 0 -- 1", "  edge 0 -- 2", "  edge 1 -- 2"]
 
 
 def test_analyze_json(capsys):
@@ -206,6 +230,41 @@ def test_hunt_text_output(capsys, mini_corpus_file):
                            mini_corpus_file, "--format", "text")
     assert code == 0
     assert "[H-2]" in out or out.strip() == ""
+
+
+def test_hunt_json_output(capsys, mini_corpus_file):
+    code, out, _ = run_cli(capsys, "hunt", "--target", "all", "--corpus",
+                           mini_corpus_file, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload == [f.to_json_dict()
+                       for f in hunt("all", load_corpus(mini_corpus_file))]
+    assert {f["target"] for f in payload} >= {"H-1", "H-3", "H-4"}
+
+
+def test_hunt_exit_3_when_a_search_runs_out(capsys, tmp_path):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("s3 = dihedral(3)\npsl2_7 = psl2(7)\n")
+    code, out, _ = run_cli(capsys, "hunt", "--target", "H-5", "--corpus",
+                           str(manifest), "--budget-clique", "0")
+    assert code == 3
+    assert json.loads(out) == [{
+        "target": "H-5", "groups": ["psl2_7"], "status": "unverified",
+        "detail": "clique number exceeded its budget"}]
+
+
+def test_hunt_exit_2_on_a_counterexample_even_beside_unverified(
+        capsys, monkeypatch, mini_corpus_file):
+    findings = [HuntFinding("H-5", ("a",), "unverified", "out of budget"),
+                HuntFinding("H-1", ("b",), "counterexample", "disconnected")]
+    monkeypatch.setattr(cli, "hunt", lambda *args, **kwargs: findings)
+    code, out, _ = run_cli(capsys, "hunt", "--corpus", mini_corpus_file,
+                           "--format", "text")
+    assert code == 2
+    assert out.splitlines() == ["[H-5] unverified: a: out of budget",
+                                "[H-1] counterexample: b: disconnected"]
+    monkeypatch.setattr(cli, "hunt", lambda *args, **kwargs: findings[:1])
+    assert run_cli(capsys, "hunt", "--corpus", mini_corpus_file)[0] == 3
 
 
 def test_hunt_gap3249(capsys, tmp_path):

@@ -8,10 +8,11 @@ import pytest
 from groupgraph import (REGISTRY, Budgets, build_bundle, hunt, load_corpus,
                         run_corpus, verify)
 from groupgraph.corpus import Corpus, parse_manifest, tier_allows
-from groupgraph.errors import RealizeError
+from groupgraph.errors import BudgetExceeded, RealizeError
 from groupgraph import analytics as an
 from groupgraph import cache, graphs, harness
-from groupgraph.harness import (_all_automorphisms, _conjugate_edge_split,
+from groupgraph.harness import (TheoremCheck, TheoremVerdict,
+                                _all_automorphisms, _conjugate_edge_split,
                                 registry_table)
 from groupgraph.specs import realize
 from oracles import (networkx_graph, networkx_invariants,
@@ -301,6 +302,45 @@ def test_unverified_propagates_from_budget():
     assert verify(REGISTRY["T-6.2"], bundle).status == "vacuous"
 
 
+def test_omega_checks_are_unverified_when_the_clique_search_runs_out():
+    # budget 0: psl2(7)'s greedy clique meets the coloring bound at the
+    # root, so any budget of one node or more solves it
+    report = run_corpus(parse_manifest("psl2_7 = psl2(7)\n"),
+                        checks=[REGISTRY["T-6.1"], REGISTRY["T-6.2"]],
+                        budgets=Budgets(clique=0))
+    row = report.verdicts["psl2_7"]
+    assert {tid: (v.status, v.note) for tid, v in row.items()} == {
+        tid: ("unverified", "clique number exceeded its budget")
+        for tid in ("T-6.1", "T-6.2")}
+    assert report.exit_code() == 3
+    assert "UNVERIFIED T-6.1 on psl2_7: clique number exceeded its budget" \
+        in report.to_text().splitlines()
+
+
+def test_a_counterexample_without_a_witness_is_reported_end_to_end():
+    """A check's counterexample with no witness gets the group label as
+    its witness, a COUNTEREXAMPLE line and exit code 2."""
+    def evaluate(bundle):
+        status = "counterexample" if bundle.group.order == 6 else "confirmed"
+        return TheoremVerdict("T-X", bundle.label, status)
+
+    check = TheoremCheck("T-X", "every group has order other than 6",
+                         evaluate)
+    report = run_corpus(parse_manifest("s3 = dihedral(3)\nz4 = cyclic(4)\n"),
+                        checks=[check])
+    assert report.theorem_ids == ["T-X"]
+    assert [(v.group_label, v.witness) for v in report.counterexamples()] \
+        == [("s3", ("s3",))]
+    assert report.verdicts["z4"]["T-X"].status == "confirmed"
+    assert report.exit_code() == 2
+    assert report.to_json_dict()["verdicts"]["s3"]["T-X"] == {
+        "status": "counterexample", "witness": ["s3"]}
+    lines = report.to_text().splitlines()
+    assert [line for line in lines if line.startswith("COUNTEREXAMPLE")] \
+        == ["COUNTEREXAMPLE T-X on s3: ('s3',)"]
+    assert "T-X: confirmed=1 vacuous=0 counterexample=1 unverified=0" in lines
+
+
 def test_run_corpus_mini_is_clean(mini_report):
     assert mini_report.exit_code() == 0
     assert mini_report.counterexamples() == []
@@ -473,3 +513,73 @@ def test_hunt_unknown_target(mini_corpus):
     from groupgraph.errors import GroupGraphError
     with pytest.raises(GroupGraphError):
         hunt("H-9", mini_corpus)
+
+
+# acceptance 4's nilpotent pair, and A5 in two presentations
+PAIRS = parse_manifest("""
+d4xz3 = direct(dihedral(4), cyclic(3))
+d4xz5 = direct(dihedral(4), cyclic(5))
+a5 = alternating(5)
+psl2_4 = psl2(4)
+""")
+
+
+def findings_of(target, corpus, **kwargs):
+    return [(f.groups, f.status, f.detail)
+            for f in hunt(target, corpus, **kwargs)]
+
+
+def test_hunt_h3_compares_isomorphic_pairs():
+    d4, a5 = ("d4xz3", "d4xz5"), ("a5", "psl2_4")
+    assert findings_of("H-3", PAIRS) == [
+        (a5, "coverage-note", "connected difference graphs in this corpus; "
+         "pairs outside this list cannot exercise the connected-graph "
+         "conjecture"),
+        (d4, "supporting", "isomorphic but disconnected difference graphs; "
+         "consistent with the conjecture's connectivity restriction"),
+        (d4, "supporting", "nilpotency transfer across isomorphic "
+         "difference graphs"),
+        (a5, "supporting", "isomorphic connected difference graphs; group "
+         "orders match (group isomorphism not decided here)"),
+    ]
+
+
+def test_hunt_h3_reports_an_isomorphism_search_out_of_budget(monkeypatch):
+    def out_of_budget(g1, g2, budget=an.DEFAULT_ISO_BUDGET):
+        raise BudgetExceeded("isomorphism search exceeded 0 nodes")
+
+    monkeypatch.setattr(an, "graphs_isomorphic", out_of_budget)
+    assert findings_of("H-3", PAIRS)[1:] == [
+        (pair, "unverified", "isomorphism search exceeded its budget")
+        for pair in (("d4xz3", "d4xz5"), ("a5", "psl2_4"))]
+
+
+A5 = parse_manifest("a5 = alternating(5)\n")
+
+
+def test_hunt_h4_reports_a_scan_out_of_budget(monkeypatch):
+    def out_of_budget(g, max_length=11, budget=an.DEFAULT_SOLVER_BUDGET):
+        raise BudgetExceeded("odd-hole scan exceeded its budget")
+
+    monkeypatch.setattr(an, "find_odd_hole_or_antihole", out_of_budget)
+    assert findings_of("H-4", A5) == [
+        (("a5",), "unverified", "bounded odd-hole scan exceeded its budget")]
+
+
+def test_hunt_h4_names_a_non_solvable_group_that_passes_the_scan(
+        monkeypatch):
+    # D(A5) has an odd hole or antihole, so without the patch A5 gives
+    # no finding
+    assert findings_of("H-4", A5) == []
+    monkeypatch.setattr(an, "find_odd_hole_or_antihole",
+                        lambda g, max_length=11, budget=0: None)
+    [(groups, status, detail)] = findings_of("H-4", A5)
+    assert (groups, status) == (("a5",), "counterexample-candidate")
+    assert detail.startswith("non-solvable group whose difference graph "
+                             "passed the bounded perfectness scan")
+
+
+def test_hunt_h5_reports_a_clique_search_out_of_budget():
+    assert findings_of("H-5", PAIRS, budgets=Budgets(clique=0)) == [
+        ((label,), "unverified", "clique number exceeded its budget")
+        for label in ("a5", "psl2_4")]

@@ -437,9 +437,7 @@ def closure_mismatches(group, rows) -> list[int]:
 
 # closures the unpruned cyclic extension runs: psl2(7) 580, symmetric(5)
 # 510, psl2(8) 1277, elem_abelian(2,5) 2077 (abelian: every join is a
-# product set now). A representative's closures run together, so a few
-# fall inside a prime-index join that the loop meets earlier and are not
-# read: 76, 86 and 144 of the rows are.
+# product set now).
 @pytest.mark.parametrize("text,closures", [
     ("psl2(7)", 91), ("symmetric(5)", 99), ("psl2(8)", 147),
     ("elem_abelian(2,5)", 0),

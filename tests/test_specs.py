@@ -32,6 +32,16 @@ def test_parse_raw():
     assert spec.args[1] == parse_cycles("(0 1)", 5)
 
 
+@pytest.mark.parametrize("text,position", [
+    ("raw()", 4), ("direct(cyclic(2), raw())", 22), ("raw((0 1), )", 11),
+])
+def test_raw_without_a_permutation_is_a_syntax_error(text, position):
+    with pytest.raises(SpecSyntaxError,
+                       match="expected a cycle-notation permutation") as err:
+        parse_group_spec(text)
+    assert err.value.position == position
+
+
 def test_realize_raw_s3():
     assert realize("raw((0 1 2), (0 1))").order == 6
 
@@ -195,6 +205,7 @@ def test_direct_product_is_enumerated_and_certified_once(monkeypatch):
 
 
 # per constructor: a spec the parser accepts, and arguments _validate rejects
+# (None for raw: the parser rejects raw() before _validate sees it)
 CONSTRUCTORS = {
     "cyclic": ("cyclic(4)", (0,)),
     "dihedral": ("dihedral(4)", (2,)),
@@ -203,7 +214,7 @@ CONSTRUCTORS = {
     "alternating": ("alternating(4)", (0,)),
     "elem_abelian": ("elem_abelian(2,2)", (4, 2)),
     "psl2": ("psl2(3)", (6,)),
-    "raw": ("raw((0 1))", ()),
+    "raw": ("raw((0 1))", None),
     "direct": ("direct(cyclic(2), cyclic(3))", (GroupSpec("cyclic", (2,)), 3)),
     "semidirect": ("semidirect(cyclic(5), cyclic(8), z5_by_doubling)",
                    (GroupSpec("cyclic", (5,)), GroupSpec("cyclic", (8,)), 5)),
@@ -214,8 +225,9 @@ def test_the_table_holds_exactly_the_constructors_the_parser_accepts():
     assert set(specs._KINDS) == set(CONSTRUCTORS)
     for kind, (text, bad_args) in CONSTRUCTORS.items():
         assert parse_group_spec(text).kind == kind
-        with pytest.raises(SpecDomainError):
-            specs._validate(GroupSpec(kind, bad_args), 0)
+        if bad_args is not None:
+            with pytest.raises(SpecDomainError):
+                specs._validate(GroupSpec(kind, bad_args), 0)
     with pytest.raises(SpecSyntaxError, match="unknown constructor"):
         parse_group_spec("quaternion(2)")
 
