@@ -42,12 +42,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import perms
+from . import cache as cache_mod, perms
 from .analytics import is_induced_map, without_isolated
 from .bits import (CHUNK_BYTES, bool_rows, iter_bits, row_blocks,
                    rows_from_bool, words_from_bool)
 from .errors import GroupGraphError, NotNormal
-from .groups import FiniteGroup, quotient_with_projection, subgroup_group
+from .groups import FiniteGroup, quotients, subgroup_group
 from .lattice import SubgroupLattice, all_subgroups
 
 KINDS = ("gamma", "delta", "difference", "difference_star")
@@ -182,7 +182,7 @@ class GraphEmbedding:
 
 def _embedding(lat: SubgroupLattice, source: FiniteGroup,
                target: SubgroupGraph | None, lift: list[int], over: int,
-               memo: dict | None) -> GraphEmbedding:
+               memo: dict | None, cache_dir=None) -> GraphEmbedding:
     """D(source) mapped into D(G) (``target``, built when None): each
     subgroup S of the source goes to the smallest subgroup of G holding
     the subgroup ``over`` and the ``lift`` (source element index -> G's)
@@ -191,13 +191,17 @@ def _embedding(lat: SubgroupLattice, source: FiniteGroup,
     ``memo`` maps the ``table_digest`` of a source to its lattice and
     difference graph. A source whose element table is already in it is
     not enumerated again; the lattice then belongs to an earlier group with
-    the same table, whose subgroup masks are the same. The source itself is
-    still realized by the caller, never derived from G's lattice.
+    the same table, whose subgroup masks are the same. A source that is
+    not in it is read from the lattice cache in ``cache_dir``, or
+    enumerated and written there, as ``cache.load_or_compute`` does for
+    any group; without a ``cache_dir`` it is enumerated. The source itself
+    is still realized by the caller, never derived from G's lattice.
     """
     memo = {} if memo is None else memo
     key = source.table_digest
     if key not in memo:
-        source_lat = all_subgroups(source)
+        source_lat = all_subgroups(source) if cache_dir is None \
+            else cache_mod.load_or_compute(source, cache_dir)[0]
         memo[key] = source_lat, build_graph(source_lat, "difference")
     source_lat, source_graph = memo[key]
     if target is None:
@@ -208,27 +212,38 @@ def _embedding(lat: SubgroupLattice, source: FiniteGroup,
     return GraphEmbedding(source, source_lat, source_graph, target, vertex_map)
 
 
-def quotient_embedding(lat: SubgroupLattice, normal_id: int,
-                       target: SubgroupGraph | None = None,
-                       memo: dict | None = None) -> GraphEmbedding:
-    """D(G/N) mapped onto the subgroups of G containing N, H/N -> H: the
-    smallest subgroup holding N and a lift of the hint of H/N."""
-    if not lat.is_normal[normal_id]:
-        raise NotNormal(f"subgroup {normal_id} is not normal")
-    if normal_id in (lat.trivial_id, lat.full_id):
-        raise NotNormal("quotient embedding needs a nontrivial proper subgroup")
-    quotient, projection = quotient_with_projection(
-        lat.group, lat.mask_of(normal_id))
-    lift = np.empty(quotient.order, dtype=np.int64)
-    lift[projection] = np.arange(lat.group.order)  # any one lift per coset
-    return _embedding(lat, quotient, target, lift.tolist(), normal_id, memo)
+def quotient_embeddings(lat: SubgroupLattice, normal_ids,
+                        target: SubgroupGraph | None = None,
+                        memo: dict | None = None,
+                        cache_dir=None) -> list[GraphEmbedding]:
+    """For each normal subgroup N of ``normal_ids``, D(G/N) mapped onto the
+    subgroups of G containing N, H/N -> H: the smallest subgroup holding N
+    and a lift of the hint of H/N. The quotients are built together, by
+    one ``groups.quotients`` pass; each gets its own vertex map."""
+    for sid in normal_ids:
+        if not lat.is_normal[sid]:
+            raise NotNormal(f"subgroup {sid} is not normal")
+        if sid in (lat.trivial_id, lat.full_id):
+            raise NotNormal(
+                "quotient embedding needs a nontrivial proper subgroup")
+    if target is None:
+        target = build_graph(lat, "difference")
+    out = []
+    for sid, (quotient, projection) in zip(normal_ids, quotients(
+            lat.group, [lat.mask_of(sid) for sid in normal_ids])):
+        lift = np.empty(quotient.order, dtype=np.int64)
+        lift[projection] = np.arange(lat.group.order)  # any one per coset
+        out.append(_embedding(lat, quotient, target, lift.tolist(), sid,
+                              memo, cache_dir))
+    return out
 
 
 def semidirect_embedding(lat: SubgroupLattice,
                          normal_id: int | None = None,
                          complement_id: int | None = None,
                          target: SubgroupGraph | None = None,
-                         memo: dict | None = None) -> GraphEmbedding:
+                         memo: dict | None = None,
+                         cache_dir=None) -> GraphEmbedding:
     """For G = H x| K, map D(K) into D(G) by K1 -> H K1: the smallest
     subgroup holding H and the hint of K1, of order |H||K1|.
 
@@ -252,7 +267,8 @@ def semidirect_embedding(lat: SubgroupLattice,
     k_group = subgroup_group(group, k_mask,
                              gen_hint=lat.subgroups[complement_id].gen_hint)
     return _embedding(lat, k_group, target, [
-        group.element_index[p] for p in k_group.elements], normal_id, memo)
+        group.element_index[p] for p in k_group.elements], normal_id, memo,
+        cache_dir)
 
 
 # -- serialization -----------------------------------------------------------
@@ -278,6 +294,8 @@ def to_dot(graph: SubgroupGraph) -> str:
 
 
 def graph_to_json_dict(graph: SubgroupGraph) -> dict:
+    """Vertices and edges named by lattice id (``to_dot`` numbers both by
+    position)."""
     return {
         "kind": graph.kind,
         "group": graph.lattice.group.spec_label,
@@ -286,5 +304,6 @@ def graph_to_json_dict(graph: SubgroupGraph) -> dict:
             {"id": int(sid), "order": graph.lattice.order_of(sid),
              "label": vertex_label(graph, i)}
             for i, sid in enumerate(graph.vertices)],
-        "edges": [[i, j] for i, j in graph.edges()],
+        "edges": [[graph.vertices[i], graph.vertices[j]]
+                  for i, j in graph.edges()],
     }

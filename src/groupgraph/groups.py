@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import perms
-from .bits import (CHUNK_BYTES, bool_array_from_mask, iter_bits, row_blocks,
+from .bits import (CHUNK_BYTES, bool_rows, iter_bits, row_blocks,
                    rows_from_bool)
 from .errors import (CacheError, CapExceeded, GroupGraphError, NotNormal,
                      RealizeError)
@@ -346,17 +346,6 @@ class FiniteGroup:
         return self.closure_masks([list(seed_indices)],
                                   [list(generator_indices)], subgroup)[0]
 
-    def is_subgroup_mask(self, mask: int) -> bool:
-        """Is the bitset a subgroup: holds the identity, closed under products."""
-        member = bool_array_from_mask(mask, self.order)
-        idx = np.flatnonzero(member)
-        return bool(mask & 1) and bool(member[self.mul[np.ix_(idx, idx)]].all())
-
-    def is_normal_mask(self, mask: int) -> bool:
-        """Does conjugation by every generator map the bitset into itself?"""
-        return self.normalizes(self.generator_indices(),
-                               bool_array_from_mask(mask, self.order))
-
     def table_bytes(self) -> bytes:
         """Canonical byte encoding of the element table (cache key material):
         degree and order, then every point as a 16-bit little-endian number."""
@@ -394,33 +383,73 @@ def subgroup_group(parent: FiniteGroup, mask: int, gen_hint) -> FiniteGroup:
 
 def quotient_with_projection(group: FiniteGroup, normal_mask: int
                              ) -> tuple[FiniteGroup, np.ndarray]:
-    """The quotient G/N, as the action of G on the left cosets of N (its
-    degree is the index [G : N]), and the projection map G -> G/N.
+    """The quotient G/N and the projection G -> G/N: ``quotients`` of the
+    one subgroup."""
+    return quotients(group, [normal_mask])[0]
 
-    Cosets x·N are numbered by their least element index, in index order.
-    Coset r's representative acts on the cosets as row r of
-    ``coset_id[mul[reps, reps]]``; that row sends coset 0 (N itself) to
-    coset r, so the rows are distinct, already sorted, and are the
-    quotient's element table. The projection is therefore ``coset_id``.
+
+def quotients(group: FiniteGroup, normal_masks
+              ) -> list[tuple[FiniteGroup, np.ndarray]]:
+    """The quotients G/N by the subgroups with the given masks, each as
+    the action of G on the left cosets of N (its degree is the index
+    [G : N]), with the projection map G -> G/N.
+
+    One pass over the (k, n) membership matrix does every N together. Its
+    member indices are padded with the identity to the largest order M,
+    and one gather of ``mul`` takes the products x·h of each element x
+    with the members h of each N, a block of elements at a time, so that
+    each temporary stays within CHUNK_BYTES. Their minimum names x·N by
+    its least element. N is a subgroup when it holds the identity and the
+    products of its own members lie in it. It is normal when h·g lies in
+    g·N for each member h and generator g: one gather of the labels.
+    A mask that fails either test raises NotNormal.
+
+    Cosets x·N are numbered by their least element, in index order: an
+    element that labels its own coset leads it, and the running count of
+    leaders numbers the cosets. Coset r's leader acts on the cosets as
+    row r of ``coset_id[mul[reps, reps]]``; that row sends coset 0 (N
+    itself) to coset r, so the rows are distinct, already sorted, and are
+    the quotient's element table. The projection is therefore
+    ``coset_id``.
     """
-    if not group.is_subgroup_mask(normal_mask):
+    if not normal_masks:
+        return []
+    n, mul = group.order, group.mul
+    member = bool_rows(normal_masks, n)
+    k = len(member)
+    sizes = np.count_nonzero(member, axis=1)
+    if not member[:, 0].all():
         raise NotNormal("quotient modulus is not a subgroup")
-    if not group.is_normal_mask(normal_mask):
+    width = int(sizes.max())
+    # each row's members in index order, then the identity as padding
+    idx = np.where(np.arange(width) < sizes[:, None],
+                   np.argsort(~member, axis=1, kind="stable")[:, :width], 0)
+    labels = np.empty((k, n), dtype=np.int64)
+    closed = np.ones(k, dtype=bool)
+    rows_of = np.arange(k)[None, :, None]
+    # per (element, N, member): the product, its intp copy and its test
+    for block in row_blocks(n, k * width * (mul.itemsize + 9), CHUNK_BYTES):
+        products = mul[block][:, idx]
+        labels[:, block] = products.min(axis=2).T
+        held = member[rows_of, products].all(axis=2)
+        closed &= (held | ~member[:, block].T).all(axis=0)
+    if not closed.all():
+        raise NotNormal("quotient modulus is not a subgroup")
+    gens = group.generator_indices()
+    # the label of h·g for each N, member h and generator g
+    moved = labels[np.arange(k)[:, None, None], mul[idx[..., None], gens]]
+    if not (moved == labels[:, None, gens]).all():
         raise NotNormal("quotient modulus is not normal")
-    mul = group.mul
-    members = np.flatnonzero(bool_array_from_mask(normal_mask, group.order))
-    # x·N is named by its least element
-    least = group.left_coset_labels(members)
-    is_rep = np.zeros(group.order, dtype=bool)
-    is_rep[least] = True
-    reps = np.flatnonzero(is_rep)
-    coset_id = np.searchsorted(reps, least)
-    expected = group.order // members.size
-    if reps.size != expected:
-        raise RealizeError(f"quotient order {reps.size} != index {expected}")
-    rows = [tuple(r) for r in coset_id[mul[reps[:, None], reps]].tolist()]
-    quotient = FiniteGroup(
-        [rows[coset_id[g]] for g in group.generator_indices()],
-        spec_label=f"{group.spec_label}/N[{members.size}]",
-        elements=rows)
-    return quotient, coset_id
+    leads = labels == np.arange(n)
+    coset_ids = np.take_along_axis(np.cumsum(leads, axis=1) - 1, labels, 1)
+    out = []
+    for coset_id, lead, size in zip(coset_ids, leads, sizes.tolist()):
+        reps = np.flatnonzero(lead)
+        if reps.size != n // size:
+            raise RealizeError(
+                f"quotient order {reps.size} != index {n // size}")
+        rows = [tuple(r) for r in coset_id[mul[reps[:, None], reps]].tolist()]
+        out.append((FiniteGroup([rows[coset_id[g]] for g in gens],
+                                spec_label=f"{group.spec_label}/N[{size}]",
+                                elements=rows), coset_id))
+    return out

@@ -24,7 +24,7 @@ from .corpus import Corpus, tier_allows, tier_of_order
 from .errors import (ActionTableError, BudgetExceeded, GroupGraphError,
                      RealizeError)
 from .graphs import (SubgroupGraph, build_graph, conjugation_vertex_map,
-                     non_automorphisms, quotient_embedding,
+                     non_automorphisms, quotient_embeddings,
                      semidirect_embedding, star_reduction)
 from .groups import FiniteGroup
 from .lattice import SubgroupLattice
@@ -57,6 +57,8 @@ class GroupBundle:
     # complements that T-2.2f/T-2.2g embed; one dict per run, shared by
     # the run's bundles
     embedding_sources: dict = field(repr=False)
+    # the lattice cache that those sources are read from and written to
+    cache_dir: str | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -94,7 +96,9 @@ def build_bundle(label: str, spec: FiniteGroup | GroupSpec | str, *,
 
     ``embedding_sources`` is the memo of embedded source lattices that
     the bundle's checks read and fill (see ``graphs._embedding``); a
-    bundle built without one gets its own. ``analyze`` runs once, on D;
+    bundle built without one gets its own. A source missing from it goes
+    through the lattice cache in ``cache_dir``, like the group's own
+    lattice. ``analyze`` runs once, on D;
     the D* report is derived from it."""
     budgets = budgets or Budgets()
     if isinstance(spec, FiniteGroup):
@@ -112,7 +116,8 @@ def build_bundle(label: str, spec: FiniteGroup | GroupSpec | str, *,
                         allow_unverified=allow_unverified)
     return GroupBundle(label, group, lat, cls, difference, star, report,
                        an.reduced_report(report, star),
-                       {} if embedding_sources is None else embedding_sources)
+                       {} if embedding_sources is None else embedding_sources,
+                       cache_dir)
 
 
 def _labelled(label: str, group: FiniteGroup) -> FiniteGroup:
@@ -198,7 +203,8 @@ def _t_22f(bundle):
         return _verdict("T-2.2f", bundle, "vacuous",
                         note="not realized as a semidirect product")
     emb = semidirect_embedding(bundle.lattice, target=bundle.difference,
-                               memo=bundle.embedding_sources)
+                               memo=bundle.embedding_sources,
+                               cache_dir=bundle.cache_dir)
     if emb.source_graph.n == 0:
         return _verdict("T-2.2f", bundle, "vacuous",
                         note="complement has no nontrivial proper subgroups")
@@ -215,10 +221,10 @@ def _t_22g(bundle):
     candidates = candidates[:QUOTIENT_EMBED_MAX_COUNT]
     if not candidates:
         return _verdict("T-2.2g", bundle, "vacuous")
-    bad = [sid for sid in candidates
-           if not quotient_embedding(
-               lat, sid, target=bundle.difference,
-               memo=bundle.embedding_sources).is_induced_isomorphism()]
+    bad = [sid for sid, emb in zip(candidates, quotient_embeddings(
+        lat, candidates, target=bundle.difference,
+        memo=bundle.embedding_sources, cache_dir=bundle.cache_dir))
+        if not emb.is_induced_isomorphism()]
     note = f"checked {len(candidates)} normal subgroup(s) with index <= " \
            f"{QUOTIENT_EMBED_MAX_INDEX}"
     return _implication("T-2.2g", bundle, vacuous=False,
@@ -264,13 +270,13 @@ def _t_23(bundle):
 
 
 def _t_24a(bundle):
+    if not bundle.classification.nilpotent \
+            or bundle.difference.edge_count() == 0:
+        return _verdict("T-2.4a", bundle, "vacuous")
     conj_edge, _ = _conjugate_edge_split(bundle)
-    return _implication(
-        "T-2.4a", bundle,
-        vacuous=not bundle.classification.nilpotent
-        or bundle.difference.edge_count() == 0,
-        conclusion=conj_edge is None,
-        witness=(conj_edge,) if conj_edge else ())
+    return _implication("T-2.4a", bundle, vacuous=False,
+                        conclusion=conj_edge is None,
+                        witness=(conj_edge,) if conj_edge else ())
 
 
 def _t_24b(bundle):
@@ -365,14 +371,17 @@ def _star_complete(bundle):
 
 def _t_31(bundle):
     srep = bundle.star_report
-    hyp = srep.vertex_count >= 2 and bool(srep.universal_vertices)
-    return _implication("T-3.1", bundle, vacuous=not hyp,
+    if srep.vertex_count < 2 or not srep.universal_vertices:
+        return _verdict("T-3.1", bundle, "vacuous")
+    return _implication("T-3.1", bundle, vacuous=False,
                         conclusion=_split_shape(bundle, beta_one=False)
                         is not None)
 
 
 def _t_32(bundle):
-    return _implication("T-3.2", bundle, vacuous=not _star_complete(bundle),
+    if not _star_complete(bundle):
+        return _verdict("T-3.2", bundle, "vacuous")
+    return _implication("T-3.2", bundle, vacuous=False,
                         conclusion=_split_shape(bundle, beta_one=True)
                         is not None)
 
@@ -621,7 +630,8 @@ def _bundles(corpus: Corpus, tier: str, budgets: Budgets | None,
     Each entry is realized once, and ``build_bundle`` gets the realized
     group. One memo of embedded source lattices serves every bundle of
     the call, so a quotient or complement table that several groups share
-    is enumerated once per call. Invariants whose exact solver runs out of
+    is enumerated (or, with ``cache_dir``, read from the cache) once per
+    call. Invariants whose exact solver runs out of
     budget come back as None, which the checks and hunts report as
     unverified. A spec that cannot be realized raises RealizeError naming
     its label.

@@ -15,7 +15,8 @@ passes over all the candidates of H:
 - One join per N(H)-orbit. The candidate zuppos are permuted by the
   normalizer N(H), and <H, z^n> = <H, z>^n for n in N(H), a conjugate of
   <H, z> that arrives with its class. So only the least candidate of each
-  N(H)-orbit is joined.
+  N(H)-orbit is joined. N(H) is computed once, when H's class is walked,
+  and kept until H is extended.
 - Product sets. When z normalizes H, <H, z> is the set H·<z>: the union
   of the cosets H·z^i for i < p, as z^p lies in H. Zuppos in the same
   right coset H·z give the same join, so one row is built per coset, and
@@ -273,9 +274,10 @@ def _zuppos(group: FiniteGroup):
 
 
 def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
-                     sub: Subgroup) -> list[Subgroup]:
+                     sub: Subgroup, in_normalizer) -> list[Subgroup]:
     """The orbit of sub under conjugation by the conjugators, each member
-    with the conjugate of sub's gen_hint.
+    with the conjugate of sub's gen_hint. ``in_normalizer`` is the bool
+    row of N(sub); with no conjugators it is not read.
 
     g H g^-1 depends only on the coset g·N(H), so the walk runs on cosets,
     each named by its least element: conjugating the member of coset a by
@@ -287,8 +289,7 @@ def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
         return [sub]
     n = group.order
     mul, conj = group.mul, group.conj
-    member = bool_array_from_mask(sub.mask, n)
-    normalizer = np.flatnonzero(group.normalizer_row(member))
+    normalizer = np.flatnonzero(in_normalizer)
     if normalizer.size == n:
         return [sub]
     label = group.left_coset_labels(normalizer)
@@ -305,7 +306,7 @@ def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
                 hints[b] = tuple(int(conj[c, i]) for i in hints[a])
                 stack.append(b)
     cosets = np.fromiter(hints, dtype=np.int64, count=len(hints))
-    members = np.flatnonzero(member)
+    members = np.flatnonzero(bool_array_from_mask(sub.mask, n))
     masks: list[int] = []
     # per row: the bool row, and the gathered indices and their intp copy
     for rows in row_blocks(cosets.size, n + 16 * members.size, CHUNK_BYTES):
@@ -361,7 +362,11 @@ def all_subgroups(group: FiniteGroup,
     found = {trivial.mask: trivial}
     class_of = {trivial.mask: 0}  # mask -> representative's position
     reps = [trivial]  # one per conjugacy class; grows while it is walked
-    for rep in reps:
+    # representative's position -> its normalizer's bool row, computed
+    # once when its class is walked and dropped once it is extended
+    normalizers = {0: np.ones(n, dtype=bool)}
+    for pos, rep in enumerate(reps):
+        in_normalizer = normalizers.pop(pos, None)
         if rep.mask == full_mask:
             continue
         inside = bool_array_from_mask(rep.mask, n)
@@ -371,26 +376,31 @@ def all_subgroups(group: FiniteGroup,
         if abelian:
             normalizes = np.ones(len(candidates), dtype=bool)
         else:
-            in_normalizer = group.normalizer_row(inside)
             # one zuppo per N(rep)-orbit: the least, which the loop reaches
             # first; its join's conjugates come with the join's class
             least = zuppo_of[group.conj[np.flatnonzero(in_normalizer)[:, None],
                                         zgen_idx[candidates]]].min(axis=0)
             candidates = candidates[least == candidates]
             normalizes = in_normalizer[zgen_idx[candidates]]
-        joins = _product_sets(group, inside, candidates[normalizes],
-                              zgen_idx, zprimes, zmembers)
+        joins = {}
+        if normalizes.any():
+            joins = _product_sets(group, inside, candidates[normalizes],
+                                  zgen_idx, zprimes, zmembers)
         # the other joins are closed together, H being the known subgroup
         closing = candidates[~normalizes].tolist()
-        joins.update(zip(closing, group.closure_masks(
-            [zmembers[z] for z in closing],
-            [rep.gen_hint + (zgens[z],) for z in closing], members)))
+        if closing:
+            joins.update(zip(closing, group.closure_masks(
+                [zmembers[z] for z in closing],
+                [rep.gen_hint + (zgens[z],) for z in closing], members)))
         for z in candidates.tolist():
             joined = joins[z]
             if joined not in found:
                 new = Subgroup(joined, joined.bit_count(),
                                rep.gen_hint + (zgens[z],))
-                for s in _conjugacy_class(group, conjugators, new):
+                in_new = None if abelian else group.normalizer_row(
+                    bool_array_from_mask(joined, n))
+                normalizers[len(reps)] = in_new
+                for s in _conjugacy_class(group, conjugators, new, in_new):
                     if len(found) >= subgroup_cap:
                         raise CapExceeded(
                             f"subgroup enumeration exceeded cap {subgroup_cap}")

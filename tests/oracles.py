@@ -11,7 +11,7 @@ from groupgraph.bits import (bool_array_from_mask, iter_bits, lowest_bit,
                              rows_from_bool, words_from_bool)
 from groupgraph.classify import (_iwasawa_witness, derived_series_orders,
                                  derived_subgroup, is_dedekind)
-from groupgraph.errors import GroupGraphError
+from groupgraph.errors import GroupGraphError, NotNormal
 from groupgraph.graphs import (KINDS, SubgroupGraph, build_graph,
                                star_reduction)
 from groupgraph.groups import (DEFAULT_ORDER_CAP, FiniteGroup, is_abelian,
@@ -120,6 +120,43 @@ def shrink_generators(group, mask: int) -> list[int]:
     return chosen
 
 
+def is_subgroup_mask(group, mask: int) -> bool:
+    """Is the bitset a subgroup: holds the identity, closed under products."""
+    member = bool_array_from_mask(mask, group.order)
+    idx = np.flatnonzero(member)
+    return bool(mask & 1) and bool(member[group.mul[np.ix_(idx, idx)]].all())
+
+
+def is_normal_mask(group, mask: int) -> bool:
+    """Does conjugation by every generator map the bitset into itself?"""
+    return group.normalizes(group.generator_indices(),
+                            bool_array_from_mask(mask, group.order))
+
+
+def quotient_by_one_subgroup(group, normal_mask: int):
+    """``quotient_with_projection`` one subgroup at a time: the subgroup
+    test on the members' product table, the normality test by conjugating
+    them, then the least element of each left coset x·N from
+    ``left_coset_labels`` and the coset ids by ``searchsorted``."""
+    if not is_subgroup_mask(group, normal_mask):
+        raise NotNormal("quotient modulus is not a subgroup")
+    if not is_normal_mask(group, normal_mask):
+        raise NotNormal("quotient modulus is not normal")
+    mul = group.mul
+    members = np.flatnonzero(bool_array_from_mask(normal_mask, group.order))
+    least = group.left_coset_labels(members)
+    is_rep = np.zeros(group.order, dtype=bool)
+    is_rep[least] = True
+    reps = np.flatnonzero(is_rep)
+    coset_id = np.searchsorted(reps, least)
+    rows = [tuple(r) for r in coset_id[mul[reps[:, None], reps]].tolist()]
+    quotient = FiniteGroup(
+        [rows[coset_id[g]] for g in group.generator_indices()],
+        spec_label=f"{group.spec_label}/N[{members.size}]",
+        elements=rows)
+    return quotient, coset_id
+
+
 def quotient_group(group, normal_mask: int) -> FiniteGroup:
     """The action of the group on left cosets of a normal subgroup.
 
@@ -165,7 +202,7 @@ def conjugation_vertex_map_by_rows(lat, g: int) -> list[int]:
 
 
 def quotient_vertex_map_by_rows(lat, normal_id: int, emb) -> list[int]:
-    """``quotient_embedding``'s vertex map, one vertex at a time: the
+    """``quotient_embeddings``' vertex map, one vertex at a time: the
     member row of each subgroup S/N of the quotient pulled back through
     the projection, looked up by mask."""
     quotient, projection = quotient_with_projection(

@@ -76,7 +76,18 @@ def test_graph_json_d_s3(capsys):
     code, out, _ = run_cli(capsys, "graph", "dihedral(3)", "--kind", "d")
     payload = json.loads(out)
     assert payload["vertex_count"] == 4
-    assert len(payload["edges"]) == 3
+    assert payload["edges"] == [[1, 2], [1, 3], [2, 3]]
+
+
+def test_graph_json_edges_name_printed_vertex_ids(capsys):
+    """D* of D4 drops isolated vertices, so its lattice ids are not its
+    positions; every edge endpoint is one of the printed ids."""
+    code, out, _ = run_cli(capsys, "graph", "dihedral(4)", "--kind", "dstar")
+    payload = json.loads(out)
+    ids = [v["id"] for v in payload["vertices"]]
+    assert code == 0 and ids != list(range(len(ids)))
+    assert len(payload["edges"]) == 4
+    assert all(i in ids and j in ids and i < j for i, j in payload["edges"])
 
 
 def test_graph_dot_dstar_d4(capsys):
@@ -94,7 +105,7 @@ def test_graph_as_text(capsys):
     assert out.splitlines() == [
         "kind: difference", "group: dihedral(3)", "vertices: 4", "edges: 3",
         "  1 2:<(1 2)>", "  2 2:<(0 1)>", "  3 2:<(0 2)>", "  4 3:<(0 1 2)>",
-        "  edge 0 -- 1", "  edge 0 -- 2", "  edge 1 -- 2"]
+        "  edge 1 -- 2", "  edge 1 -- 3", "  edge 2 -- 3"]
 
 
 def test_analyze_json(capsys):
@@ -226,10 +237,13 @@ def test_export_writes_file(capsys, tmp_path):
 
 
 def test_hunt_text_output(capsys, mini_corpus_file):
-    code, out, _ = run_cli(capsys, "hunt", "--target", "H-2", "--corpus",
+    code, out, _ = run_cli(capsys, "hunt", "--target", "all", "--corpus",
                            mini_corpus_file, "--format", "text")
-    assert code == 0
-    assert "[H-2]" in out or out.strip() == ""
+    findings = hunt("all", load_corpus(mini_corpus_file))
+    assert code == 0 and findings
+    assert out.splitlines() == [
+        f"[{f.target}] {f.status}: {', '.join(f.groups)}: {f.detail}"
+        for f in findings]
 
 
 def test_hunt_json_output(capsys, mini_corpus_file):

@@ -12,7 +12,7 @@ from groupgraph.corpus import tier_allows
 from groupgraph.errors import CriteriaDisagreement, GroupGraphError, NotNormal
 from groupgraph.graphs import (KINDS, conjugation_vertex_map,
                                graph_to_json_dict, non_automorphisms,
-                               quotient_embedding, semidirect_embedding,
+                               quotient_embeddings, semidirect_embedding,
                                to_dot)
 from groupgraph.harness import (QUOTIENT_EMBED_MAX_COUNT,
                                 QUOTIENT_EMBED_MAX_INDEX)
@@ -196,8 +196,8 @@ def test_vertex_maps_match_the_gather_based_maps_on_the_fast_tier(
         normals = [sid for sid in lat.nontrivial_proper_ids()
                    if lat.is_normal[sid] and group.order // lat.order_of(sid)
                    <= QUOTIENT_EMBED_MAX_INDEX][:QUOTIENT_EMBED_MAX_COUNT]
-        for sid in normals:
-            emb = quotient_embedding(lat, sid, target=target, memo=memo)
+        for sid, emb in zip(normals, quotient_embeddings(
+                lat, normals, target=target, memo=memo)):
             assert emb.vertex_map == quotient_vertex_map_by_rows(
                 lat, sid, emb), entry.label
             quotients += 1
@@ -247,7 +247,7 @@ def test_quotient_embedding_s3xz2(make):
     g, lat = make("direct(dihedral(3), cyclic(2))")
     centers = [sid for sid in lat.nontrivial_proper_ids()
                if lat.order_of(sid) == 2 and lat.is_normal[sid]]
-    emb = quotient_embedding(lat, centers[0])
+    emb = quotient_embeddings(lat, [centers[0]])[0]
     assert emb.source_group.order == 6
     assert emb.source_graph.edge_count() == 3   # D(S3)
     assert emb.is_induced_isomorphism()
@@ -257,7 +257,7 @@ def test_quotient_embedding_cyclic_quotient_is_edgeless(make):
     g, lat = make("dihedral(4)")
     z4 = next(sid for sid in lat.nontrivial_proper_ids()
               if lat.order_of(sid) == 4 and lat.is_cyclic_subgroup(sid))
-    emb = quotient_embedding(lat, z4)
+    emb = quotient_embeddings(lat, [z4])[0]
     assert emb.source_graph.edge_count() == 0
     assert emb.is_induced_isomorphism()
 
@@ -265,7 +265,7 @@ def test_quotient_embedding_cyclic_quotient_is_edgeless(make):
 def test_quotient_embedding_d4_center(make):
     _, lat = make("dihedral(4)")
     center = lat.frattini()   # the center of D4 is its Frattini subgroup
-    emb = quotient_embedding(lat, center)
+    emb = quotient_embeddings(lat, [center])[0]
     assert emb.source_group.order == 4
     assert emb.source_graph.edge_count() == 0   # D(V4) is edgeless
     assert emb.is_induced_isomorphism()
@@ -276,7 +276,7 @@ def test_quotient_embedding_rejects_non_normal(make):
     nonnormal = next(sid for sid in lat.nontrivial_proper_ids()
                      if not lat.is_normal[sid])
     with pytest.raises(NotNormal):
-        quotient_embedding(lat, nonnormal)
+        quotient_embeddings(lat, [nonnormal])
 
 
 def test_semidirect_embedding_z5_z8(make):
@@ -338,8 +338,12 @@ def test_dot_and_json_exports_are_deterministic(dgraph):
     assert to_dot(d) == to_dot(d)
     payload = graph_to_json_dict(d)
     assert payload["vertex_count"] == 4
-    assert payload["edges"] == [[0, 1], [0, 2], [1, 2]]
+    # edges name the vertices by the lattice ids the vertices print
+    assert payload["edges"] == [[1, 2], [1, 3], [2, 3]]
+    assert [v["id"] for v in payload["vertices"]] == [1, 2, 3, 4]
     dot = to_dot(d)
     assert dot.startswith("graph difference {") and dot.count(" -- ") == 3
+    # DOT numbers vertices and edges by position
+    assert "  v0 -- v1;\n  v0 -- v2;\n  v1 -- v2;\n" in dot
     star = star_reduction(d)
     assert "v3" not in to_dot(star)   # the isolated vertex is gone

@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 
 from groupgraph import (FiniteGroup, all_subgroups, enumerate_elements,
                         realize, stabilizer_chain_order)
+from groupgraph.bits import CHUNK_BYTES, row_blocks
+from groupgraph.cache import load_or_compute
 from groupgraph.corpus import tier_allows
 from groupgraph.errors import CapExceeded, NotNormal, RealizeError
 from groupgraph.groups import (TableError, quotient_with_projection,
-                               subgroup_group)
+                               quotients, subgroup_group)
+from groupgraph.harness import (QUOTIENT_EMBED_MAX_COUNT,
+                                QUOTIENT_EMBED_MAX_INDEX)
 from groupgraph.perms import compose, format_cycles, identity, parse_cycles
-from oracles import (composed_mul, left_coset_reps, per_element_tables,
-                     quotient_differences, quotient_group, shrink_generators)
+from oracles import (composed_mul, is_normal_mask, is_subgroup_mask,
+                     left_coset_reps, per_element_tables,
+                     quotient_by_one_subgroup, quotient_differences,
+                     quotient_group, shrink_generators)
 
 
 def test_enumerate_identity_only():
@@ -256,7 +262,7 @@ def test_quotient_projection_maps_subgroups():
     for i in range(g.order):
         if int(proj[i]) in image_z3:
             preimage |= 1 << i
-    assert g.is_subgroup_mask(preimage)
+    assert is_subgroup_mask(g, preimage)
 
 
 def test_subgroup_group_materializes():
@@ -337,9 +343,77 @@ def test_subgroup_and_normal_masks():
     rot = s3.element_index[parse_cycles("(0 1 2)", 3)]
     z3 = 1 | 1 << rot | 1 << int(s3.mul[rot, rot])
     z2 = 1 | 1 << swap
-    assert s3.is_subgroup_mask(z3) and s3.is_normal_mask(z3)
-    assert s3.is_subgroup_mask(z2) and not s3.is_normal_mask(z2)
-    assert s3.is_subgroup_mask(1) and s3.is_subgroup_mask((1 << 6) - 1)
-    assert not s3.is_subgroup_mask(1 << rot | 1 << int(s3.mul[rot, rot]))
-    assert not s3.is_subgroup_mask(1 | 1 << rot)
-    assert not s3.is_subgroup_mask(0)
+    assert is_subgroup_mask(s3, z3) and is_normal_mask(s3, z3)
+    assert is_subgroup_mask(s3, z2) and not is_normal_mask(s3, z2)
+    assert is_subgroup_mask(s3, 1) and is_subgroup_mask(s3, (1 << 6) - 1)
+    assert not is_subgroup_mask(s3, 1 << rot | 1 << int(s3.mul[rot, rot]))
+    assert not is_subgroup_mask(s3, 1 | 1 << rot)
+    assert not is_subgroup_mask(s3, 0)
+
+
+def quotient_mismatches(group, masks) -> list[str]:
+    """The masks whose quotient from the batched pass differs from the
+    per-subgroup oracle: element table, generators, label, table digest
+    or projection."""
+    bad = []
+    for mask, (q, proj) in zip(masks, quotients(group, masks)):
+        ref, ref_proj = quotient_by_one_subgroup(group, mask)
+        if (q.elements, q.generators, q.spec_label, q.table_digest,
+                proj.tolist()) != (ref.elements, ref.generators,
+                                   ref.spec_label, ref.table_digest,
+                                   ref_proj.tolist()):
+            bad.append(f"{group.spec_label}/{mask:x}")
+    return bad
+
+
+def test_batched_quotients_match_the_per_subgroup_oracle_on_the_fast_tier(
+        corpus, fast_report, shared_cache):
+    """Every T-2.2g candidate of every fast-tier group, all of a group's
+    candidates in one pass."""
+    groups_seen = candidates = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if not tier_allows("fast", group.order):
+            continue
+        lat = load_or_compute(group, shared_cache)[0]
+        masks = [lat.mask_of(sid) for sid in lat.nontrivial_proper_ids()
+                 if lat.is_normal[sid] and group.order // lat.order_of(sid)
+                 <= QUOTIENT_EMBED_MAX_INDEX][:QUOTIENT_EMBED_MAX_COUNT]
+        assert quotient_mismatches(group, masks) == []
+        groups_seen += 1
+        candidates += len(masks)
+    assert groups_seen == len(fast_report.labels)
+    assert candidates == 511  # the quotient maps tests/test_graphs.py checks
+
+
+def test_batched_quotient_of_s6_by_a6_runs_in_row_blocks(make):
+    """|A6| = 360 members against 720 elements: the products of one
+    element with A6's members take 3,960 bytes with their index copy and
+    test, so the pass goes by 11 blocks of elements."""
+    s6, lat = make("symmetric(6)")
+    a6 = next(sid for sid in lat.nontrivial_proper_ids()
+              if lat.order_of(sid) == 360)
+    row = 360 * (s6.mul.itemsize + 9)
+    assert len(list(row_blocks(s6.order, row, CHUNK_BYTES))) == 11
+    assert quotient_mismatches(s6, [lat.mask_of(a6)]) == []
+    # with a normal subgroup of every other index beside it
+    normals = [lat.mask_of(sid) for sid in lat.nontrivial_proper_ids()
+               if lat.is_normal[sid]]
+    assert normals == [lat.mask_of(a6)]
+    assert quotient_mismatches(s6, [lat.mask_of(a6), 1]) == []
+
+
+def test_batched_quotients_reject_a_mask_that_is_not_normal_or_not_a_subgroup():
+    s3 = realize("dihedral(3)")
+    swap = s3.element_index[parse_cycles("(1 2)", 3)]
+    rot = s3.element_index[parse_cycles("(0 1 2)", 3)]
+    z3 = 1 | 1 << rot | 1 << int(s3.mul[rot, rot])
+    for bad, reason in [(1 | 1 << swap, "not normal"),
+                        (1 | 1 << rot, "not a subgroup"),
+                        (1 << rot | 1 << int(s3.mul[rot, rot]),
+                         "not a subgroup"),
+                        (0, "not a subgroup")]:
+        for masks in ([bad], [z3, bad], [bad, z3]):
+            with pytest.raises(NotNormal, match=reason):
+                quotients(s3, masks)
+    assert quotients(s3, []) == []

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import logging
+import os
 import re
 from itertools import combinations
 from pathlib import Path
@@ -14,9 +18,11 @@ from groupgraph import cache, graphs, harness
 from groupgraph.harness import (TheoremCheck, TheoremVerdict,
                                 _all_automorphisms, _conjugate_edge_split,
                                 registry_table)
+from groupgraph.groups import quotient_with_projection
 from groupgraph.specs import realize
 from oracles import (networkx_graph, networkx_invariants,
-                     quotient_differences, report_invariants)
+                     quotient_by_one_subgroup, quotient_differences,
+                     report_invariants)
 
 EXPECTED_IDS = [
     "T-2.2a", "T-2.2b", "T-2.2c", "T-2.2d", "T-2.2e", "T-2.2f", "T-2.2g",
@@ -283,6 +289,151 @@ def test_run_corpus_enumerates_each_source_table_once(mini_corpus,
     # the memo lasts one run: the next run enumerates every table again
     assert seen == first_seen
     assert first.to_json_dict() == second.to_json_dict()
+
+
+def spy_enumerations(monkeypatch) -> list[str]:
+    """The table digest of every lattice enumerated from here on, through
+    the cache or around it."""
+    seen = []
+    real = cache.all_subgroups
+
+    def spy(group, *args, **kwargs):
+        seen.append(group.table_digest)
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(cache, "all_subgroups", spy)
+    monkeypatch.setattr(graphs, "all_subgroups", spy)
+    return seen
+
+
+def cache_files(cache_dir: Path) -> dict[str, int]:
+    return {p.name: p.stat().st_mtime_ns for p in cache_dir.iterdir()}
+
+
+def report_bytes(report) -> tuple[str, str]:
+    return json.dumps(report.to_json_dict(), sort_keys=True), report.to_text()
+
+
+def test_a_cached_run_reads_its_source_lattices_from_the_cache(
+        mini_corpus, mini_report, tmp_path, monkeypatch):
+    """The first cached run writes the quotient and complement lattices
+    that T-2.2f/T-2.2g embed beside the groups' own; the second enumerates
+    nothing and writes nothing. Both reports are those of a run without a
+    cache."""
+    seen = spy_enumerations(monkeypatch)
+    first = run_corpus(mini_corpus, tier="fast", cache_dir=str(tmp_path))
+    files = cache_files(tmp_path)
+    own = {realize(entry.spec).table_digest for entry in mini_corpus}
+    # one file per table enumerated, sources included
+    assert len(seen) == len(set(seen))
+    assert set(files) == {f"{d}.lattice" for d in seen}
+    assert len(set(seen) - own) >= 10
+    seen.clear()
+    second = run_corpus(mini_corpus, tier="fast", cache_dir=str(tmp_path))
+    assert seen == [] and cache_files(tmp_path) == files
+    assert report_bytes(first) == report_bytes(second) \
+        == report_bytes(mini_report)
+
+
+def break_checksum(text: str) -> str:
+    body, _, _ = text.rstrip("\n").rpartition("\n")
+    return body + "\nchecksum " + "0" * 64 + "\n"
+
+
+def break_hint(text: str) -> str:
+    """Subgroup 1 with no hint, checksummed again: the empty hint
+    generates the trivial group, not subgroup 1."""
+    lines = text.rstrip("\n").splitlines()[:-1]
+    lines[3] = lines[3].rpartition(" ")[0] + " -"
+    body = "\n".join(lines)
+    return body + f"\nchecksum {hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+def test_a_bad_source_entry_is_discarded_and_recomputed(
+        mini_corpus, mini_report, tmp_path, monkeypatch, caplog):
+    """A source lattice's entry with a bad checksum, and one whose hint
+    does not generate its subgroup, are each discarded with a log line
+    and recomputed, and the report does not change."""
+    run_corpus(mini_corpus, tier="fast", cache_dir=str(tmp_path))
+    own = {f"{realize(entry.spec).table_digest}.lattice"
+           for entry in mini_corpus}
+    sources = sorted(p for p in tmp_path.iterdir() if p.name not in own)
+    good = {p: p.read_text() for p in sources[:2]}
+    sources[0].write_text(break_checksum(good[sources[0]]))
+    sources[1].write_text(break_hint(good[sources[1]]))
+    seen = spy_enumerations(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="groupgraph.cache"):
+        report = run_corpus(mini_corpus, tier="fast",
+                            cache_dir=str(tmp_path))
+    warnings = [rec.getMessage() for rec in caplog.records]
+    assert any(str(sources[0]) in w and "checksum mismatch" in w
+               for w in warnings)
+    assert any(str(sources[1]) in w and "does not generate subgroup 1" in w
+               for w in warnings)
+    assert len(warnings) == 2
+    assert sorted(seen) == sorted(p.name.removesuffix(".lattice")
+                                  for p in sources[:2])
+    assert all(p.read_text() == text for p, text in good.items())
+    assert report_bytes(report) == report_bytes(mini_report)
+
+
+def test_conclusions_are_evaluated_only_where_the_hypothesis_holds(
+        corpus, fast_report, shared_cache, monkeypatch):
+    """Over the fast tier, T-3.1 and T-3.2 look for the split shape, and
+    T-2.4a for a conjugate edge, only on the groups that meet their
+    hypotheses; the verdicts are those of the full run."""
+    calls = []
+    real_shape = harness._split_shape
+    real_split = harness._conjugate_edge_split
+
+    def shape_spy(bundle, *, beta_one):
+        srep = bundle.star_report
+        assert harness._star_complete(bundle) if beta_one else (
+            srep.vertex_count >= 2 and srep.universal_vertices), bundle.label
+        calls.append(("T-3.2" if beta_one else "T-3.1", bundle.label))
+        return real_shape(bundle, beta_one=beta_one)
+
+    def split_spy(bundle):
+        assert bundle.classification.nilpotent \
+            and bundle.difference.edge_count() > 0, bundle.label
+        calls.append(("T-2.4a", bundle.label))
+        return real_split(bundle)
+
+    monkeypatch.setattr(harness, "_split_shape", shape_spy)
+    monkeypatch.setattr(harness, "_conjugate_edge_split", split_spy)
+    tids = ["T-2.4a", "T-3.1", "T-3.2"]
+    report = run_corpus(corpus, [REGISTRY[t] for t in tids], tier="fast",
+                        cache_dir=shared_cache)
+    assert report.verdicts == {
+        label: {t: fast_report.verdicts[label][t] for t in tids}
+        for label in fast_report.labels}
+    assert sorted(calls) == sorted(
+        (t, label) for label in report.labels for t in tids
+        if report.verdicts[label][t].status != "vacuous")
+    assert sum(t == "T-3.1" for t, _ in calls) == 16
+
+
+@pytest.mark.skipif(not os.environ.get("GROUPGRAPH_LONG"),
+                    reason="long tier: set GROUPGRAPH_LONG=1 to run it")
+def test_t22g_on_symmetric_7():
+    """S7's one candidate is A7, of index 2 among 5,040 elements. The
+    check runs on the parts of a bundle it reads (the whole bundle would
+    also run the independence search)."""
+    group = realize("symmetric(7)")
+    lat = cache.all_subgroups(group)
+    bundle = SimpleNamespace(label="s7", group=group, lattice=lat,
+                             difference=graphs.build_graph(lat, "difference"),
+                             embedding_sources={}, cache_dir=None)
+    verdict = verify(REGISTRY["T-2.2g"], bundle)
+    assert (verdict.status, verdict.note) == (
+        "confirmed", "checked 1 normal subgroup(s) with index <= 24")
+    a7 = lat.mask_of(next(sid for sid in lat.nontrivial_proper_ids()
+                          if lat.is_normal[sid]))
+    assert a7.bit_count() == 2520
+    q, proj = quotient_with_projection(group, a7)
+    ref, ref_proj = quotient_by_one_subgroup(group, a7)
+    assert (q.elements, q.generators, proj.tolist()) \
+        == (ref.elements, ref.generators, ref_proj.tolist())
 
 
 def test_bundles_built_alone_share_no_memo():

@@ -24,7 +24,8 @@ from oracles import (brute_force_subgroup_masks, closure_mask_by_cosets,
                      conjugacy_class_by_bits, conjugate_mask,
                      conjugate_mask_by_bits, conjugate_rows,
                      cyclic_extension_lattice,
-                     inclusion_by_rows, normalizer, pair_loop_mismatches,
+                     inclusion_by_rows, is_subgroup_mask, normalizer,
+                     pair_loop_mismatches,
                      perm_order, quotient_group, subgroup_generated,
                      sylow_subgroups)
 
@@ -570,10 +571,14 @@ def test_class_walk_matches_the_per_bit_orbit(monkeypatch, make, text):
     group, lat = make(text)
     gens = group.generator_indices()
     reps = [lat.subgroups[ids[0]] for ids in lat.conj_classes]
+    rows = [group.normalizer_row(bool_array_from_mask(s.mask, group.order))
+            for s in reps]
     expected = [conjugacy_class_by_bits(group, gens, s) for s in reps]
-    assert [_conjugacy_class(group, gens, s) for s in reps] == expected
+    assert [_conjugacy_class(group, gens, s, row)
+            for s, row in zip(reps, rows)] == expected
     monkeypatch.setattr(lattice, "CHUNK_BYTES", 3 * 3 * group.order)
-    assert [_conjugacy_class(group, gens, s) for s in reps] == expected
+    assert [_conjugacy_class(group, gens, s, row)
+            for s, row in zip(reps, rows)] == expected
 
 
 @pytest.mark.parametrize("text,subgroups,classes", [
@@ -586,7 +591,7 @@ def test_counts_masks_and_classes(make, text, subgroups, classes):
     g, lat = make(text)
     assert lat.subgroup_count() == subgroups
     assert len(lat.conj_classes) == classes
-    assert all(g.is_subgroup_mask(s.mask) for s in lat.subgroups)
+    assert all(is_subgroup_mask(g, s.mask) for s in lat.subgroups)
     assert all(subgroup_generated(g, s.gen_hint) == s.mask
                for s in lat.subgroups)
     for members in lat.conj_classes:
@@ -618,3 +623,38 @@ def test_canonical_ordering_is_stable(make):
         [(s.order, s.mask, s.gen_hint) for s in b.subgroups]
     orders = [s.order for s in a.subgroups]
     assert orders == sorted(orders)
+
+
+@pytest.mark.parametrize("text", ["psl2(7)", "symmetric(5)", "dicyclic(6)"])
+def test_one_normalizer_per_class_and_no_empty_join_batches(monkeypatch,
+                                                            text):
+    """Each class representative's normalizer is computed once, when its
+    class is walked (the trivial group's is G), and shared with its own
+    extension. No product-set or closure batch is empty."""
+    group = realize(text)
+    normalized, batches = [], []
+    real_row = FiniteGroup.normalizer_row
+    real_close = FiniteGroup.closure_masks
+    real_products = lattice._product_sets
+
+    def row_spy(self, member):
+        normalized.append(rows_from_bool(member[None])[0])
+        return real_row(self, member)
+
+    def close_spy(self, seeds, gens, subgroup=None):
+        batches.append(len(seeds))
+        return real_close(self, seeds, gens, subgroup)
+
+    def products_spy(group, inside, zuppos, *args):
+        batches.append(zuppos.size)
+        return real_products(group, inside, zuppos, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FiniteGroup, "normalizer_row", row_spy)
+        patch.setattr(FiniteGroup, "closure_masks", close_spy)
+        patch.setattr(lattice, "_product_sets", products_spy)
+        lat = all_subgroups(group)
+    # one subgroup of each class but the trivial group's
+    classes = [lat.conj_class_of[lat.index_of[mask]] for mask in normalized]
+    assert sorted(classes) == list(range(1, len(lat.conj_classes)))
+    assert batches and 0 not in batches
