@@ -13,9 +13,9 @@ from .errors import (ActionTableError, BudgetExceeded, CacheError,
                      SpecSyntaxError)
 from .graphs import SubgroupGraph, build_graph, star_reduction
 from .groups import FiniteGroup, enumerate_elements, stabilizer_chain_order
-from .harness import (REGISTRY, Budgets, GroupBundle, HuntFinding, RunReport,
-                      TheoremCheck, TheoremVerdict, build_bundle,
-                      find_gap3249_action, hunt, run_corpus, verify)
+from .harness import (HUNTS, REGISTRY, Budgets, GroupBundle, HuntFinding,
+                      RunReport, TheoremCheck, TheoremVerdict, build_bundle,
+                      find_gap3249_action, hunt, run_corpus, sweep, verify)
 from .lattice import SubgroupLattice, all_subgroups
 from .specs import GroupSpec, parse_group_spec, realize, register_action
 
@@ -26,9 +26,10 @@ __all__ = [
     "CriteriaDisagreement", "GroupGraphError", "NotNormal", "RealizeError",
     "SpecDomainError", "SpecSyntaxError", "SubgroupGraph", "build_graph",
     "star_reduction", "FiniteGroup", "enumerate_elements",
-    "stabilizer_chain_order", "REGISTRY", "Budgets", "GroupBundle",
+    "stabilizer_chain_order", "HUNTS", "REGISTRY", "Budgets", "GroupBundle",
     "HuntFinding", "RunReport", "TheoremCheck", "TheoremVerdict",
-    "build_bundle", "find_gap3249_action", "hunt", "run_corpus", "verify",
+    "build_bundle", "find_gap3249_action", "hunt", "run_corpus", "sweep",
+    "verify",
     "SubgroupLattice", "all_subgroups", "GroupSpec", "parse_group_spec",
     "realize", "register_action", "__version__",
 ]

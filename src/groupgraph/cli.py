@@ -18,8 +18,8 @@ from . import cache as cache_mod
 from .corpus import load_corpus
 from .errors import BudgetExceeded, GroupGraphError
 from .graphs import build_graph, graph_to_json_dict, to_dot
-from .harness import (REGISTRY, Budgets, build_bundle, find_gap3249_action,
-                      hunt, registry_table, run_corpus)
+from .harness import (HUNTS, REGISTRY, Budgets, build_bundle,
+                      find_gap3249_action, hunt, registry_table, run_corpus)
 from .specs import realize
 
 KIND_ALIASES = {"gamma": "gamma", "delta": "delta", "d": "difference",
@@ -257,7 +257,7 @@ def build_parser() -> _Parser:
     common(p, spec=False)
     budgets(p)
     p.add_argument("--target", default="all",
-                   choices=("H-1", "H-2", "H-3", "H-4", "H-5", "gap3249", "all"))
+                   choices=(*HUNTS, "gap3249", "all"))
     p.add_argument("--corpus", default=None)
     p.add_argument("--tier", choices=("fast", "standard", "long"), default="fast")
     p.add_argument("--threads", type=int, default=1,

@@ -381,13 +381,6 @@ def subgroup_group(parent: FiniteGroup, mask: int, gen_hint) -> FiniteGroup:
                        elements=elements)
 
 
-def quotient_with_projection(group: FiniteGroup, normal_mask: int
-                             ) -> tuple[FiniteGroup, np.ndarray]:
-    """The quotient G/N and the projection G -> G/N: ``quotients`` of the
-    one subgroup."""
-    return quotients(group, [normal_mask])[0]
-
-
 def quotients(group: FiniteGroup, normal_masks
               ) -> list[tuple[FiniteGroup, np.ndarray]]:
     """The quotients G/N by the subgroups with the given masks, each as

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from . import analytics as an
 from .bits import lowest_bit
 from .classify import GroupClassification, classify, is_abelian
-from .corpus import Corpus, tier_allows, tier_of_order
+from .corpus import TIER_BOUNDS, Corpus, tier_allows, tier_of_order
 from .errors import (ActionTableError, BudgetExceeded, GroupGraphError,
                      RealizeError)
 from .graphs import (SubgroupGraph, build_graph, conjugation_vertex_map,
@@ -612,68 +612,71 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _bundles(corpus: Corpus, tier: str, budgets: Budgets | None,
-             cache_dir: str | None):
-    """The bundle of every corpus group in the tier, in manifest order.
+def sweep(corpus: Corpus, checks=(), hunts=(), tier: str = "fast", *,
+          budgets: Budgets | None = None, cache_dir: str | None = None
+          ) -> tuple[RunReport, list[HuntFinding]]:
+    """The verdicts of ``checks`` and the findings of ``hunts`` (ids of
+    ``HUNTS``, in the given order) in one pass over the corpus groups in
+    the tier, in manifest order. An unknown tier or hunt id raises
+    GroupGraphError before any spec is realized; a spec that cannot be
+    realized raises RealizeError naming its label.
 
-    Bundles are built one at a time in the calling thread, each when the
-    caller asks for it, so a caller that keeps only what it reads off
-    each bundle holds one bundle at a time. There is no pool: bundle work
-    is Python that holds the interpreter lock, so threads only add
-    waiting. Nor is there a process pool: on a warm ``run_corpus`` +
-    ``hunt`` pass over the fast tier (2-core x86_64) a forked two-process
-    pool cut wall time to 0.72-0.98 s from 0.82-1.32 s serial but spent
-    1.27-1.74 s of CPU against 0.82-1.33 s (two processes gained only
-    1.6-2.1x on a pure-Python loop there), and it would split the memo
-    of embedded sources. ``threads`` (the CLI's ``--threads``) is
-    accepted and ignored.
-    Each entry is realized once, and ``build_bundle`` gets the realized
-    group. One memo of embedded source lattices serves every bundle of
-    the call, so a quotient or complement table that several groups share
-    is enumerated (or, with ``cache_dir``, read from the cache) once per
-    call. Invariants whose exact solver runs out of
-    budget come back as None, which the checks and hunts report as
-    unverified. A spec that cannot be realized raises RealizeError naming
-    its label.
+    Each group is realized once and gets one ``build_bundle`` call, and
+    its verdict row is computed right away. Bundles are kept only for
+    hunts, so a verify-only sweep holds one bundle at a time. One memo of
+    embedded source lattices serves the whole sweep. An exact solver
+    that runs out of budget gives None, reported as unverified.
+
+    There is no pool: bundle work is Python that holds the interpreter
+    lock, so threads only add waiting. Nor is there a process pool: on a
+    warm ``run_corpus`` + ``hunt`` pass over the fast tier (2-core
+    x86_64) a forked two-process pool cut wall time to 0.72-0.98 s from
+    0.82-1.32 s serial but spent 1.27-1.74 s of CPU against 0.82-1.33 s,
+    and it would split the memo. ``threads`` (the CLI's ``--threads``) on
+    ``run_corpus`` and ``hunt`` is accepted and ignored.
     """
+    from . import __version__
+    if tier not in TIER_BOUNDS:
+        raise GroupGraphError(f"unknown tier {tier!r}")
+    for t in hunts:
+        if t not in HUNTS:
+            raise GroupGraphError(f"unknown hunt target {t!r}")
     embedding_sources: dict = {}
+    kept: list[GroupBundle] = []
+    orders: dict[str, int] = {}
+    verdicts: dict[str, dict[str, TheoremVerdict]] = {}
     for entry in corpus:
         try:
             group = _labelled(entry.label, realize(entry.spec))
         except GroupGraphError as exc:
             raise RealizeError(f"{entry.label}: {exc}") from exc
-        if tier_allows(tier, group.order):
-            yield build_bundle(entry.label, group, budgets=budgets,
-                               cache_dir=cache_dir, allow_unverified=True,
-                               embedding_sources=embedding_sources)
+        if not tier_allows(tier, group.order):
+            continue
+        bundle = build_bundle(entry.label, group, budgets=budgets,
+                              cache_dir=cache_dir, allow_unverified=True,
+                              embedding_sources=embedding_sources)
+        orders[entry.label] = group.order
+        verdicts[entry.label] = {c.id: verify(c, bundle) for c in checks}
+        if hunts:
+            kept.append(bundle)
+        # neither name may hold this group while the next one is built
+        del group, bundle
+    report = RunReport(tier=tier, manifest_sha256=corpus.manifest_sha256,
+                       version=__version__, theorem_ids=[c.id for c in checks],
+                       labels=list(orders), orders=orders, verdicts=verdicts)
+    return report, [f for t in hunts for f in HUNTS[t](kept)]
 
 
 def run_corpus(corpus: Corpus, checks=None, tier: str = "fast", *,
                budgets: Budgets | None = None, threads: int = 1,
                cache_dir: str | None = None) -> RunReport:
-    """Evaluate the registry over every corpus group in the tier.
-
-    The verdict matrix is in manifest order. ``threads`` is ignored;
-    bundles are built one at a time. A solver that runs out of budget
-    gives ``unverified`` verdicts for its group, and the rest of the
-    matrix is still computed.
-    """
-    from . import __version__
+    """The verdict matrix of the registry (or ``checks``) over the
+    corpus groups in the tier: a ``sweep`` without hunts. ``threads`` is
+    ignored (see ``sweep``)."""
     if checks is None:
         checks = list(REGISTRY.values())
-
-    def row(bundle):
-        return bundle.label, bundle.group.order, {
-            c.id: verify(c, bundle) for c in checks}
-
-    # map holds no bundle between rows, so one bundle is alive at a time
-    results = list(map(row, _bundles(corpus, tier, budgets, cache_dir)))
-    labels = [label for label, _, _ in results]
-    orders = {label: order for label, order, _ in results}
-    verdicts = {label: row for label, _, row in results}
-    return RunReport(tier=tier, manifest_sha256=corpus.manifest_sha256,
-                     version=__version__, theorem_ids=[c.id for c in checks],
-                     labels=labels, orders=orders, verdicts=verdicts)
+    return sweep(corpus, checks, tier=tier, budgets=budgets,
+                 cache_dir=cache_dir)[0]
 
 
 # -- hunts ----------------------------------------------------------------------
@@ -688,9 +691,6 @@ class HuntFinding:
     def to_json_dict(self) -> dict:
         return {"target": self.target, "groups": list(self.groups),
                 "status": self.status, "detail": self.detail}
-
-
-HUNT_IDS = ("H-1", "H-2", "H-3", "H-4", "H-5")
 
 
 def _hunt_h1(bundles):
@@ -744,10 +744,7 @@ def _hunt_h3(bundles):
         buckets.setdefault(key, []).append(b)
     for key in sorted(buckets):
         group_list = buckets[key]
-        for i, j in product(range(len(group_list)), repeat=2):
-            if i >= j:
-                continue
-            b1, b2 = group_list[i], group_list[j]
+        for b1, b2 in combinations(group_list, 2):
             try:
                 iso = an.graphs_isomorphic(b1.difference, b2.difference)
             except BudgetExceeded:
@@ -835,26 +832,19 @@ def _hunt_h5(bundles):
     return findings
 
 
-_HUNTS = {"H-1": _hunt_h1, "H-2": _hunt_h2, "H-3": _hunt_h3,
-          "H-4": _hunt_h4, "H-5": _hunt_h5}
+HUNTS = {"H-1": _hunt_h1, "H-2": _hunt_h2, "H-3": _hunt_h3,
+         "H-4": _hunt_h4, "H-5": _hunt_h5}
 
 
 def hunt(target: str, corpus: Corpus, *, tier: str = "fast",
          budgets: Budgets | None = None, cache_dir: str | None = None,
          threads: int = 1) -> list[HuntFinding]:
-    """Evaluate one open-problem target (or 'all') over the corpus.
-
-    ``threads`` is ignored; bundles are built one at a time.
-    """
-    targets = list(_HUNTS) if target == "all" else [target]
-    for t in targets:
-        if t not in _HUNTS:
-            raise GroupGraphError(f"unknown hunt target {t!r}")
-    bundles = list(_bundles(corpus, tier, budgets, cache_dir))
-    findings = []
-    for t in targets:
-        findings.extend(_HUNTS[t](bundles))
-    return findings
+    """Evaluate one open-problem target (or 'all') over the corpus: the
+    findings of a ``sweep`` without checks. ``threads`` is ignored (see
+    ``sweep``)."""
+    targets = tuple(HUNTS) if target == "all" else (target,)
+    return sweep(corpus, hunts=targets, tier=tier, budgets=budgets,
+                 cache_dir=cache_dir)[1]
 
 
 # -- the GAP(32,49)-like fixture -------------------------------------------------

@@ -15,8 +15,7 @@ from groupgraph.errors import GroupGraphError, NotNormal
 from groupgraph.graphs import (KINDS, SubgroupGraph, build_graph,
                                star_reduction)
 from groupgraph.groups import (DEFAULT_ORDER_CAP, FiniteGroup, is_abelian,
-                               quotient_with_projection,
-                               stabilizer_chain_order)
+                               quotients, stabilizer_chain_order)
 from groupgraph.lattice import Subgroup, _zuppos
 from groupgraph.primes import is_prime
 
@@ -131,6 +130,12 @@ def is_normal_mask(group, mask: int) -> bool:
     """Does conjugation by every generator map the bitset into itself?"""
     return group.normalizes(group.generator_indices(),
                             bool_array_from_mask(mask, group.order))
+
+
+def quotient_with_projection(group, normal_mask: int):
+    """The quotient G/N and the projection G -> G/N: ``quotients`` of the
+    one subgroup."""
+    return quotients(group, [normal_mask])[0]
 
 
 def quotient_by_one_subgroup(group, normal_mask: int):

@@ -11,15 +11,15 @@ from groupgraph.bits import CHUNK_BYTES, row_blocks
 from groupgraph.cache import load_or_compute
 from groupgraph.corpus import tier_allows
 from groupgraph.errors import CapExceeded, NotNormal, RealizeError
-from groupgraph.groups import (TableError, quotient_with_projection,
-                               quotients, subgroup_group)
+from groupgraph.groups import TableError, quotients, subgroup_group
 from groupgraph.harness import (QUOTIENT_EMBED_MAX_COUNT,
                                 QUOTIENT_EMBED_MAX_INDEX)
 from groupgraph.perms import compose, format_cycles, identity, parse_cycles
 from oracles import (composed_mul, is_normal_mask, is_subgroup_mask,
                      left_coset_reps, per_element_tables,
                      quotient_by_one_subgroup, quotient_differences,
-                     quotient_group, shrink_generators)
+                     quotient_group, quotient_with_projection,
+                     shrink_generators)
 
 
 def test_enumerate_identity_only():

@@ -1,28 +1,29 @@
+import gc
 import hashlib
 import json
 import logging
 import os
 import re
+import weakref
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from groupgraph import (REGISTRY, Budgets, build_bundle, hunt, load_corpus,
-                        run_corpus, verify)
+from groupgraph import (HUNTS, REGISTRY, Budgets, build_bundle, hunt,
+                        load_corpus, run_corpus, sweep, verify)
 from groupgraph.corpus import Corpus, parse_manifest, tier_allows
-from groupgraph.errors import BudgetExceeded, RealizeError
+from groupgraph.errors import BudgetExceeded, GroupGraphError, RealizeError
 from groupgraph import analytics as an
 from groupgraph import cache, graphs, harness
 from groupgraph.harness import (TheoremCheck, TheoremVerdict,
                                 _all_automorphisms, _conjugate_edge_split,
                                 registry_table)
-from groupgraph.groups import quotient_with_projection
 from groupgraph.specs import realize
 from oracles import (networkx_graph, networkx_invariants,
                      quotient_by_one_subgroup, quotient_differences,
-                     report_invariants)
+                     quotient_with_projection, report_invariants)
 
 EXPECTED_IDS = [
     "T-2.2a", "T-2.2b", "T-2.2c", "T-2.2d", "T-2.2e", "T-2.2f", "T-2.2g",
@@ -284,10 +285,11 @@ def test_run_corpus_enumerates_each_source_table_once(mini_corpus,
     monkeypatch.setattr(graphs, "all_subgroups", spy)
     first = run_corpus(mini_corpus, tier="fast")
     first_seen, seen[:] = list(seen), []
-    second = run_corpus(mini_corpus, tier="fast")
+    # a sweep that verifies and hunts shares one memo between both
+    second, findings = sweep(mini_corpus, REGISTRY.values(), tuple(HUNTS))
     assert first_seen and len(set(first_seen)) == len(first_seen)
     # the memo lasts one run: the next run enumerates every table again
-    assert seen == first_seen
+    assert seen == first_seen and findings
     assert first.to_json_dict() == second.to_json_dict()
 
 
@@ -542,6 +544,57 @@ def test_run_corpus_empty():
     assert report.labels == [] and report.exit_code() == 0
 
 
+def test_an_unknown_tier_is_caught_before_any_spec_is_realized(
+        mini_corpus, monkeypatch):
+    realized = []
+    real = harness.realize
+    monkeypatch.setattr(harness, "realize",
+                        lambda spec: realized.append(spec) or real(spec))
+    for corpus in (parse_manifest(""), mini_corpus):
+        with pytest.raises(GroupGraphError, match="unknown tier 'nope'"):
+            run_corpus(corpus, tier="nope")
+        with pytest.raises(GroupGraphError, match="unknown tier 'nope'"):
+            hunt("all", corpus, tier="nope")
+    assert realized == []
+
+
+def test_one_sweep_verifies_and_hunts_on_one_bundle_per_group(
+        mini_corpus, mini_report, monkeypatch):
+    findings = hunt("all", mini_corpus)
+    built = []
+    real = harness.build_bundle
+
+    def spy(label, *args, **kwargs):
+        built.append(label)
+        return real(label, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_bundle", spy)
+    report, swept = sweep(mini_corpus, list(REGISTRY.values()), tuple(HUNTS))
+    assert built == mini_report.labels == [e.label for e in mini_corpus]
+    assert report.to_json_dict() == mini_report.to_json_dict()
+    assert swept == findings
+
+
+def test_run_corpus_holds_one_bundle_at_a_time(mini_corpus, monkeypatch):
+    """Each bundle is gone before the next is built, and none outlives
+    the run, so a verify pass holds one bundle's memory at a time."""
+    alive = []
+    real = harness.build_bundle
+
+    def spy(*args, **kwargs):
+        gc.collect()
+        assert [ref for ref in alive if ref() is not None] == []
+        bundle = real(*args, **kwargs)
+        alive.append(weakref.ref(bundle))
+        return bundle
+
+    monkeypatch.setattr(harness, "build_bundle", spy)
+    run_corpus(mini_corpus, tier="fast")
+    gc.collect()
+    assert len(alive) == len(mini_corpus)
+    assert [ref for ref in alive if ref() is not None] == []
+
+
 def test_readme_states_the_default_manifest_size():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     stated = re.search(r"corpus_default\.txt`\) lists\s+(\d+)\s", readme)
@@ -661,7 +714,6 @@ def test_hunt_h5(mini_corpus):
 
 
 def test_hunt_unknown_target(mini_corpus):
-    from groupgraph.errors import GroupGraphError
     with pytest.raises(GroupGraphError):
         hunt("H-9", mini_corpus)
 
