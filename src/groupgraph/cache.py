@@ -99,18 +99,18 @@ def cache_path(cache_dir: str | Path, group: FiniteGroup) -> Path:
     return Path(cache_dir) / f"{group.table_digest}.lattice"
 
 
-def load_or_compute(group: FiniteGroup, cache_dir: str | Path | None = None,
-                    **kwargs) -> tuple[SubgroupLattice, bool]:
+def load_or_compute(group: FiniteGroup, cache_dir: str | Path | None = None
+                    ) -> tuple[SubgroupLattice, bool]:
     """Return (lattice, was_cache_hit); persist fresh computations."""
     if cache_dir is None:
-        return all_subgroups(group, **kwargs), False
+        return all_subgroups(group), False
     path = cache_path(cache_dir, group)
     if path.exists():
         try:
             return lattice_from_text(group, path.read_text()), True
         except (CacheError, ValueError, IndexError, KeyError) as exc:
             log.warning("discarding bad cache entry %s: %s", path, exc)
-    lat = all_subgroups(group, **kwargs)
+    lat = all_subgroups(group)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(f".tmp{os.getpid()}")
     tmp.write_text(lattice_to_text(lat))

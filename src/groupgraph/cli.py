@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Subcommands: group, lattice, graph, analyze, verify, hunt, export.
+Subcommands: group, lattice, graph, analyze, verify, registry, hunt,
+gap3249, export.
 Exit codes: 0 clean, 1 usage or realization error, 2 counterexample found,
 3 unverified entries present.
 """
@@ -15,7 +16,7 @@ from collections import Counter
 from . import __version__
 from . import analytics as an
 from . import cache as cache_mod
-from .corpus import load_corpus
+from .corpus import TIER_BOUNDS, load_corpus
 from .errors import BudgetExceeded, GroupGraphError
 from .graphs import build_graph, graph_to_json_dict, to_dot
 from .harness import (HUNTS, REGISTRY, Budgets, build_bundle,
@@ -134,25 +135,19 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.list:
-        table = registry_table()
-        if args.format == "json":
-            _emit(_json(table), args.out)
-        else:
-            _emit("".join(f"{row['id']}: {row['statement']}\n"
-                          for row in table), args.out)
-        return 0
     corpus = load_corpus(args.corpus)
     checks = None
-    if args.theorem:
+    if args.theorem is not None:
         wanted = [t.strip() for t in args.theorem.split(",") if t.strip()]
+        if not wanted:
+            raise GroupGraphError("--theorem names no theorem id")
         missing = [t for t in wanted if t not in REGISTRY]
         if missing:
             raise GroupGraphError(f"unknown theorem id(s): {missing}")
-        checks = [REGISTRY[t] for t in wanted]
+        checks = [REGISTRY[t] for t in dict.fromkeys(wanted)]
     budgets = Budgets(clique=args.budget_clique, independence=args.budget_indep)
     report = run_corpus(corpus, checks, tier=args.tier, budgets=budgets,
-                        threads=args.threads, cache_dir=args.cache)
+                        cache_dir=args.cache)
     if args.format == "json":
         _emit(_json(report.to_json_dict()), args.out)
     else:
@@ -160,24 +155,21 @@ def cmd_verify(args) -> int:
     return report.exit_code()
 
 
+def cmd_registry(args) -> int:
+    table = registry_table()
+    if args.format == "json":
+        _emit(_json(table), args.out)
+    else:
+        _emit("".join(f"{row['id']}: {row['statement']}\n" for row in table),
+              args.out)
+    return 0
+
+
 def cmd_hunt(args) -> int:
     budgets = Budgets(clique=args.budget_clique, independence=args.budget_indep)
-    if args.target == "gap3249":
-        spec = find_gap3249_action()
-        bundle = build_bundle("gap_32_49_like", spec, budgets=budgets,
-                              cache_dir=args.cache)
-        _emit_payload({
-            "target": "gap3249",
-            "spec": str(spec),
-            "order": bundle.group.order,
-            "nilpotent": bundle.classification.nilpotent,
-            "difference_bipartite": bundle.report.bipartite,
-            "reduced_components": bundle.star_report.component_count,
-        }, args)
-        return 0
     corpus = load_corpus(args.corpus)
     findings = hunt(args.target, corpus, tier=args.tier, budgets=budgets,
-                    cache_dir=args.cache, threads=args.threads)
+                    cache_dir=args.cache)
     if args.format == "json":
         _emit(_json([f.to_json_dict() for f in findings]), args.out)
     else:
@@ -188,6 +180,22 @@ def cmd_hunt(args) -> int:
         return 2
     if any(f.status == "unverified" for f in findings):
         return 3
+    return 0
+
+
+def cmd_gap3249(args) -> int:
+    budgets = Budgets(clique=args.budget_clique, independence=args.budget_indep)
+    spec = find_gap3249_action()
+    bundle = build_bundle("gap_32_49_like", spec, budgets=budgets,
+                          cache_dir=args.cache)
+    _emit_payload({
+        "target": "gap3249",
+        "spec": str(spec),
+        "order": bundle.group.order,
+        "nilpotent": bundle.classification.nilpotent,
+        "difference_bipartite": bundle.report.bipartite,
+        "reduced_components": bundle.star_report.component_count,
+    }, args)
     return 0
 
 
@@ -204,12 +212,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each subcommand takes only the formats it writes, and only the
-    # subcommands that run the exact solvers take their budgets
-    def common(p, formats=("json", "text"), spec=True):
+    # each subcommand takes only the flags it reads
+    def common(p, formats=("json", "text"), spec=True, cache=True):
         if spec:
             p.add_argument("spec", help="group spec, e.g. 'dihedral(4)'")
-        p.add_argument("--cache", default=None, help="lattice cache directory")
+        if cache:
+            p.add_argument("--cache", help="lattice cache directory")
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write output to a file")
 
@@ -245,24 +253,30 @@ def build_parser() -> _Parser:
     common(p, spec=False)
     budgets(p)
     p.add_argument("--corpus", default=None, help="manifest path (default: built-in)")
-    p.add_argument("--tier", choices=("fast", "standard", "long"), default="fast")
+    p.add_argument("--tier", choices=tuple(TIER_BOUNDS), default="fast")
     p.add_argument("--threads", type=int, default=1,
                    help="ignored; bundles are built one at a time")
     p.add_argument("--theorem", default=None, metavar="ID[,ID...]")
-    p.add_argument("--list", action="store_true",
-                   help="print the statement registry and exit")
     p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("registry", help="print the statement registry")
+    common(p, spec=False, cache=False)
+    p.set_defaults(func=cmd_registry)
 
     p = sub.add_parser("hunt", help="scan the corpus for the open problems")
     common(p, spec=False)
     budgets(p)
-    p.add_argument("--target", default="all",
-                   choices=(*HUNTS, "gap3249", "all"))
+    p.add_argument("--target", default="all", choices=(*HUNTS, "all"))
     p.add_argument("--corpus", default=None)
-    p.add_argument("--tier", choices=("fast", "standard", "long"), default="fast")
+    p.add_argument("--tier", choices=tuple(TIER_BOUNDS), default="fast")
     p.add_argument("--threads", type=int, default=1,
                    help="ignored; bundles are built one at a time")
     p.set_defaults(func=cmd_hunt)
+
+    p = sub.add_parser("gap3249", help="re-derive the order-32 fixture")
+    common(p, spec=False)
+    budgets(p)
+    p.set_defaults(func=cmd_gap3249)
 
     return parser
 

@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from groupgraph.cli import build_parser, main
-from groupgraph import cli
+from groupgraph import cli, harness
 from groupgraph.harness import (Budgets, HuntFinding, build_bundle, hunt,
                                 registry_table)
 from groupgraph.corpus import load_corpus
@@ -131,7 +133,7 @@ def test_usage_error_exit_1(capsys):
 
 
 def test_verify_list(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--list")
+    code, out, _ = run_cli(capsys, "registry")
     table = json.loads(out)
     assert code == 0
     assert {"id": "T-2.5", "statement": table[10]["statement"]} == table[10] \
@@ -141,11 +143,11 @@ def test_verify_list(capsys):
 def test_verify_list_as_text(capsys):
     """One ``id: statement`` line per check, in registry order; the JSON
     listing is unchanged by the text form."""
-    code, out, _ = run_cli(capsys, "verify", "--list", "--format", "text")
+    code, out, _ = run_cli(capsys, "registry", "--format", "text")
     assert code == 0
     assert out.splitlines() == [f"{row['id']}: {row['statement']}"
                                 for row in registry_table()]
-    _, json_out, _ = run_cli(capsys, "verify", "--list")
+    _, json_out, _ = run_cli(capsys, "registry")
     assert json_out == json.dumps(registry_table(), sort_keys=True,
                                   indent=2) + "\n"
 
@@ -167,6 +169,32 @@ def test_verify_theorem_filter(capsys, mini_corpus_file):
     assert code == 0
     assert payload["theorems"] == ["T-6.1"]
     assert set(payload["verdicts"]["s3"]) == {"T-6.1"}
+
+
+@pytest.mark.parametrize("ids", [",", "", " , "])
+def test_verify_theorem_naming_no_id_is_a_usage_error(capsys, monkeypatch,
+                                                      mini_corpus_file, ids):
+    """An empty ``--theorem`` list is refused before any group is
+    realized, instead of running every bundle for an empty matrix."""
+    realized = []
+    monkeypatch.setattr(harness, "realize",
+                        lambda spec: realized.append(spec))
+    code, out, err = run_cli(capsys, "verify", "--corpus", mini_corpus_file,
+                             "--theorem", ids)
+    assert code == 1 and out == "" and "--theorem" in err
+    assert realized == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_theorem_repeated_id_runs_once(capsys, mini_corpus_file, fmt):
+    """A repeated id is one check, kept in first-seen order: the report
+    is the one its deduplicated list gives."""
+    argv = ("verify", "--corpus", mini_corpus_file, "--format", fmt)
+    code, out, _ = run_cli(capsys, *argv, "--theorem", "T-6.1,T-2.5,T-6.1")
+    assert code == 0
+    assert out == run_cli(capsys, *argv, "--theorem", "T-6.1,T-2.5")[1]
+    if fmt == "json":
+        assert json.loads(out)["theorems"] == ["T-6.1", "T-2.5"]
 
 
 def test_verify_corrupt_manifest(capsys, tmp_path):
@@ -282,8 +310,7 @@ def test_hunt_exit_2_on_a_counterexample_even_beside_unverified(
 
 
 def test_hunt_gap3249(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "hunt", "--target", "gap3249",
-                           "--cache", str(tmp_path / "c"))
+    code, out, _ = run_cli(capsys, "gap3249", "--cache", str(tmp_path / "c"))
     payload = json.loads(out)
     assert code == 0
     assert payload["order"] == 32
@@ -294,20 +321,20 @@ def test_hunt_gap3249(capsys, tmp_path):
 
 def test_hunt_gap3249_text_and_budgets(capsys, tmp_path):
     cache = str(tmp_path / "c")
-    code, out, _ = run_cli(capsys, "hunt", "--target", "gap3249",
-                           "--cache", cache, "--format", "text")
+    code, out, _ = run_cli(capsys, "gap3249", "--cache", cache,
+                           "--format", "text")
     assert code == 0
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
     lines = out.splitlines()
     assert lines[0] == "target: gap3249" and "order: 32" in lines
-    code, out, err = run_cli(capsys, "hunt", "--target", "gap3249",
-                             "--cache", cache, "--budget-clique", "0")
+    code, out, err = run_cli(capsys, "gap3249", "--cache", cache,
+                             "--budget-clique", "0")
     assert code == 3 and out == "" and "unverified" in err
 
 
 GROUP_COMMANDS = ("group", "lattice", "graph", "export", "analyze")
-SOLVER_COMMANDS = ("analyze", "verify", "hunt")
+SOLVER_COMMANDS = ("analyze", "verify", "hunt", "gap3249")
 BUDGETS = ("--budget-clique=7", "--budget-indep=7")
 
 
@@ -317,9 +344,15 @@ def _argv(command, flag):
 
 
 @pytest.mark.parametrize("command,flag", [
-    *((c, b) for c in ("group", "lattice", "graph", "export") for b in BUDGETS),
-    *((c, "--format=dot")
-      for c in ("group", "lattice", "analyze", "verify", "hunt")),
+    *((c, b) for c in ("group", "lattice", "graph", "export", "registry")
+      for b in BUDGETS),
+    *((c, "--format=dot") for c in ("group", "lattice", "analyze", "verify",
+                                    "registry", "hunt", "gap3249")),
+    ("verify", "--list"), ("hunt", "--target=gap3249"),
+    *(("registry", f) for f in ("--tier=fast", "--corpus=X", "--cache=D",
+                                "--theorem=T-6.1", "--threads=2")),
+    *(("gap3249", f) for f in ("--corpus=X", "--tier=long", "--threads=2",
+                               "--target=all")),
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command,
                                                                flag):
@@ -334,10 +367,34 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command,
     *((c, "--budget-indep=7", "budget_indep", 7) for c in SOLVER_COMMANDS),
     *((c, "--format=dot", "format", "dot") for c in ("graph", "export")),
     *((c, "--threads=3", "threads", 3) for c in ("verify", "hunt")),
+    ("registry", "--format=text", "format", "text"),
+    ("gap3249", "--cache=D", "cache", "D"),
 ])
 def test_each_kept_flag_still_parses(command, flag, attr, value):
     assert getattr(build_parser().parse_args(_argv(command, flag)),
                    attr) == value
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("groupgraph ")]
+
+
+def test_readme_cli_block_names_every_subcommand():
+    commands = {shlex.split(line)[1] for line in _readme_cli_lines()}
+    assert commands == {"group", "lattice", "graph", "analyze", "verify",
+                        "registry", "hunt", "gap3249", "export"}
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(),
+                         ids=lambda line: line.split("#")[0].strip())
+def test_readme_cli_line_parses(line):
+    """Every example in README's CLI block parses, so the docs cannot
+    name a removed subcommand or flag."""
+    argv = shlex.split(line, comments=True)
+    assert build_parser().parse_args(argv[1:]).command == argv[1]
 
 
 def test_analyze_unverified_exit_3(capsys):
