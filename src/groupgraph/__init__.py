@@ -4,6 +4,17 @@ verification harness over a reproducible corpus."""
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# numpy's OpenBLAS starts a worker thread at import that spins for CPU
+# time, and the package calls no BLAS routine: unless numpy is loaded
+# already or the thread count is set, a process runs on one thread.
+if "numpy" not in sys.modules and not any(
+        name in os.environ for name in (
+            "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .analytics import AnalysisReport, Graph, analyze, graphs_isomorphic
 from .classify import GroupClassification, classify
 from .corpus import Corpus, load_corpus

@@ -160,7 +160,10 @@ def _verify_cyclic_factors(lat: SubgroupLattice, chain: list[int]) -> None:
 
     ``below`` must lie in ``above``, be normalized by ``above``'s
     generators, and some element of ``above`` outside it must have order
-    exactly the index |above : below| modulo ``below``.
+    exactly the index |above : below| modulo ``below``. A generator g of
+    ``above`` normalizes ``below`` exactly when it conjugates each of
+    ``below``'s hint generators into ``below``, as conjugation by g is an
+    automorphism: one gather of ``conj`` at the two hints.
     """
     group = lat.group
     for below, above in zip(chain, chain[1:]):
@@ -170,7 +173,9 @@ def _verify_cyclic_factors(lat: SubgroupLattice, chain: list[int]) -> None:
                 "normal chain step is not a subgroup of the next one; "
                 "chain search is broken")
         in_below = bool_array_from_mask(below_mask, group.order)
-        if not group.normalizes(list(lat.subgroups[above].gen_hint), in_below):
+        conjugates = group.conj[np.ix_(lat.subgroups[above].gen_hint,
+                                       lat.subgroups[below].gen_hint)]
+        if not in_below[conjugates].all():
             raise GroupGraphError(
                 "normal chain step is not normal in the next one; "
                 "chain search is broken")

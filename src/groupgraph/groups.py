@@ -163,6 +163,10 @@ class FiniteGroup:
         no lookup, as the generator rows they come from are. A round that
         finds nothing new means the generators do not generate the table,
         which raises TableError.
+
+        Both gathers are flat ``take``s from the raveled table, at
+        a·n + b for the entry (a, b): the products of a block of known
+        rows, and each new row from row a at the entries of row b.
         """
         if self.order > TABLE_CAP:
             raise CapExceeded(
@@ -180,12 +184,13 @@ class FiniteGroup:
         table = np.empty((n, n), dtype=np.uint16 if n <= 65535 else np.uint32)
         table[0] = np.arange(n)
         table[gen_rows[:, 0]] = gen_rows  # g followed by the identity is g
+        flat = table.reshape(-1)
         known = np.zeros(n, dtype=bool)
         known[0] = known[gen_rows[:, 0]] = True
         while not known.all():
             ks = np.flatnonzero(known)
             for part in row_blocks(ks.size, ks.size, _MUL_BLOCK):
-                products = table[ks[part, None], ks].ravel()
+                products = flat.take((ks[part, None] * n + ks).ravel())
                 # source[c] = position in products of some a, b with c = ab
                 source = np.full(n, products.size)
                 source[products] = np.arange(products.size)
@@ -193,7 +198,8 @@ class FiniteGroup:
                 a, b = np.divmod(source[new], ks.size)
                 a, b = ks[part][a], ks[b]
                 for rows in row_blocks(new.size, n, _MUL_BLOCK):
-                    table[new[rows]] = table[a[rows, None], table[b[rows]]]
+                    table[new[rows]] = flat.take(
+                        a[rows, None] * n + table.take(b[rows], axis=0))
                 known[new] = True
                 if known.all():
                     break
@@ -228,26 +234,14 @@ class FiniteGroup:
             k += 1
         return orders
 
-    def normalizer_row(self, member: np.ndarray) -> np.ndarray:
+    def normalizer_row(self, member: np.ndarray, generators) -> np.ndarray:
         """The normalizer N(H) of the subgroup H with the bool membership
-        row ``member``, as a bool row: g lies in N(H) when g h g^-1 lies in
-        H for every h in H. One gather of ``conj`` at H's members, a block
-        of rows at a time, so that each temporary stays within
-        CHUNK_BYTES."""
-        idx = np.flatnonzero(member)
-        conj = self.conj
-        rows = np.empty(self.order, dtype=bool)
-        for block in row_blocks(self.order, idx.size * conj.itemsize,
-                                CHUNK_BYTES):
-            rows[block] = member[conj[block, idx]].all(axis=1)
-        return rows
-
-    def normalizes(self, conjugators, member: np.ndarray) -> bool:
-        """Does conjugation by each of the ``conjugators`` map the subset H
-        with the bool membership row ``member`` into itself? One gather of
-        ``conj`` at the conjugators and H's members."""
-        conj = self.conj[np.ix_(conjugators, np.flatnonzero(member))]
-        return bool(member[conj].all())
+        row ``member``, generated by the element indices ``generators``, as
+        a bool row. Conjugation by g is an automorphism, so g H g^-1 is the
+        subgroup generated by the g h g^-1, and g lies in N(H) exactly when
+        each g h g^-1 lies in H for the generators h: one gather of
+        ``conj`` at the generators' columns."""
+        return member[self.conj[:, list(generators)]].all(axis=1)
 
     def left_coset_labels(self, members: np.ndarray) -> np.ndarray:
         """The least element of each left coset x·H, for every element x,

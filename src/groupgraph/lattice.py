@@ -16,18 +16,24 @@ passes over all the candidates of H:
   normalizer N(H), and <H, z^n> = <H, z>^n for n in N(H), a conjugate of
   <H, z> that arrives with its class. So only the least candidate of each
   N(H)-orbit is joined. N(H) is computed once, when H's class is walked,
-  and kept until H is extended.
+  from H's ``gen_hint``: conjugation by g is an automorphism, so g
+  normalizes H exactly when it maps each hint generator into H, one
+  gather of ``conj`` at the hint. It is kept until H is extended.
+- One join per right coset. <H, h·z> = <H, z> for h in H, so the
+  candidates in one right coset H·z have the same join, and only the
+  least of them is joined. The cosets are told apart by their least
+  elements, one ``mul`` gather for all candidates.
 - Product sets. When z normalizes H, <H, z> is the set H·<z>: the union
-  of the cosets H·z^i for i < p, as z^p lies in H. Zuppos in the same
-  right coset H·z give the same join, so one row is built per coset, and
-  the rows are read off ``mul`` in one gather per prime. In an abelian
-  group every candidate normalizes H and every orbit is a single zuppo,
-  so no orbit is worked out.
-- One batch of closures. The other candidates go to
-  ``FiniteGroup.closure_masks`` together, with H as the known subgroup:
-  Dimino's coset-wise closure (Holt, Eick & O'Brien, *Handbook of
-  Computational Group Theory*, 2005), all closures in lock-step. The loop
-  then reads every candidate's join once, in order.
+  of the cosets H·z^i for i < p, as z^p lies in H. The rows are read off
+  ``mul`` in one gather per prime. In an abelian group every candidate
+  normalizes H and every orbit is a single zuppo, so no orbit is worked
+  out.
+- One batch of closures, one closure row per right coset. The other
+  coset leaders go to ``FiniteGroup.closure_masks`` together, with H as
+  the known subgroup: Dimino's coset-wise closure (Holt, Eick & O'Brien,
+  *Handbook of Computational Group Theory*, 2005), all closures in
+  lock-step. The loop then reads every candidate's join once, in order,
+  from its coset's leader.
 
 Completeness. Every element is the product of commuting prime-power
 powers of itself, so a subgroup K is generated by the zuppos inside it.
@@ -317,34 +323,38 @@ def _conjugacy_class(group: FiniteGroup, conjugators: list[int],
             for mask, hint in zip(masks, hints.values())]
 
 
-def _product_sets(group: FiniteGroup, inside: np.ndarray, zuppos,
-                  zgen_idx, primes, zmembers) -> dict[int, int]:
-    """H·<z> for each listed zuppo z that normalizes H (given by its bool
-    ``inside`` row), as bitsets keyed by zuppo number.
+def _right_coset_leads(group: FiniteGroup, members: np.ndarray,
+                       elements: np.ndarray) -> np.ndarray:
+    """For each of the listed elements z, the position of the first listed
+    element in its right coset H·z of the subgroup H with the member
+    indices ``members``. Distinct right cosets are disjoint, so their
+    least elements tell them apart: one ``mul`` gather for all elements,
+    and a scatter of the least position per least element."""
+    least = group.mul[members[:, None], elements].min(axis=0)
+    first = np.full(group.order, elements.size)
+    np.minimum.at(first, least, np.arange(elements.size))
+    return first[least]
 
-    Zuppos in the same right coset H·z have the same join, so one row is
-    built per coset, for one of its zuppos; the cosets are told apart by
-    their least elements, one ``mul`` gather for all zuppos. z^p lies in
-    H, so H·<z> is the union of the cosets H·z^i for i < p: one ``mul``
-    gather for all the rows of the same prime.
+
+def _product_sets(group: FiniteGroup, inside: np.ndarray,
+                  zuppos: np.ndarray, primes, zmembers) -> dict[int, int]:
+    """H·<z> for each listed zuppo z that normalizes H (given by its bool
+    ``inside`` row), as bitsets keyed by zuppo number. z^p lies in H, so
+    H·<z> is the union of the cosets H·z^i for i < p: one ``mul`` gather
+    for all the rows of the same prime.
     """
     members = np.flatnonzero(inside)
-    least = group.mul[members[:, None], zgen_idx[zuppos]].min(axis=0)
-    # any one zuppo per least element wins the scatter and stands for it
-    slot = np.empty(group.order, dtype=np.int64)
-    slot[least] = np.arange(zuppos.size)
-    lead = zuppos[slot[least]].tolist()
-    leaders = sorted(set(lead))
+    zuppos = zuppos.tolist()
     products: dict[int, int] = {}
-    for p in sorted({primes[z] for z in leaders}):
-        same = [z for z in leaders if primes[z] == p]
+    for p in sorted({primes[z] for z in zuppos}):
+        same = [z for z in zuppos if primes[z] == p]
         # z, z^2, ..., z^(p-1) for each zuppo, one row each
         powers = np.array([zmembers[z][:p - 1] for z in same], dtype=np.int64)
         cosets = group.mul[members[:, None, None], powers[None]]
         rows = np.repeat(inside[None], len(same), axis=0)
         rows[np.arange(len(same))[None, :, None], cosets] = True
         products.update(zip(same, rows_from_bool(rows)))
-    return dict(zip(zuppos.tolist(), map(products.__getitem__, lead)))
+    return products
 
 
 def all_subgroups(group: FiniteGroup,
@@ -382,23 +392,27 @@ def all_subgroups(group: FiniteGroup,
                                         zgen_idx[candidates]]].min(axis=0)
             candidates = candidates[least == candidates]
             normalizes = in_normalizer[zgen_idx[candidates]]
+        # <H, h·z> = <H, z>: the least candidate of each right coset H·z
+        # is joined for all of them
+        lead = _right_coset_leads(group, members, zgen_idx[candidates])
+        leading = lead == np.arange(candidates.size)
+        products = candidates[normalizes & leading]
         joins = {}
-        if normalizes.any():
-            joins = _product_sets(group, inside, candidates[normalizes],
-                                  zgen_idx, zprimes, zmembers)
+        if products.size:
+            joins = _product_sets(group, inside, products, zprimes, zmembers)
         # the other joins are closed together, H being the known subgroup
-        closing = candidates[~normalizes].tolist()
+        closing = candidates[leading & ~normalizes].tolist()
         if closing:
             joins.update(zip(closing, group.closure_masks(
                 [zmembers[z] for z in closing],
                 [rep.gen_hint + (zgens[z],) for z in closing], members)))
-        for z in candidates.tolist():
-            joined = joins[z]
+        for z, leader in zip(candidates.tolist(), candidates[lead].tolist()):
+            joined = joins[leader]
             if joined not in found:
                 new = Subgroup(joined, joined.bit_count(),
                                rep.gen_hint + (zgens[z],))
                 in_new = None if abelian else group.normalizer_row(
-                    bool_array_from_mask(joined, n))
+                    bool_array_from_mask(joined, n), new.gen_hint)
                 normalizers[len(reps)] = in_new
                 for s in _conjugacy_class(group, conjugators, new, in_new):
                     if len(found) >= subgroup_cap:

@@ -7,8 +7,9 @@ import numpy as np
 
 from groupgraph import perms, specs
 from groupgraph.analytics import Graph
-from groupgraph.bits import (bool_array_from_mask, iter_bits, lowest_bit,
-                             rows_from_bool, words_from_bool)
+from groupgraph.bits import (CHUNK_BYTES, bool_array_from_mask, iter_bits,
+                             lowest_bit, row_blocks, rows_from_bool,
+                             words_from_bool)
 from groupgraph.classify import (_iwasawa_witness, derived_series_orders,
                                  derived_subgroup, is_dedekind)
 from groupgraph.errors import GroupGraphError, NotNormal
@@ -126,10 +127,31 @@ def is_subgroup_mask(group, mask: int) -> bool:
     return bool(mask & 1) and bool(member[group.mul[np.ix_(idx, idx)]].all())
 
 
+def normalizes(group, conjugators, member: np.ndarray) -> bool:
+    """Does conjugation by each of the ``conjugators`` map the subset H
+    with the bool membership row ``member`` into itself? One gather of
+    ``conj`` at the conjugators and H's members."""
+    conj = group.conj[np.ix_(conjugators, np.flatnonzero(member))]
+    return bool(member[conj].all())
+
+
+def normalizer_row_by_members(group, member: np.ndarray) -> np.ndarray:
+    """``FiniteGroup.normalizer_row`` from every member rather than the
+    generators: g lies in N(H) when g h g^-1 lies in H for each h in H,
+    one gather of ``conj`` at H's members, a block of rows at a time."""
+    idx = np.flatnonzero(member)
+    conj = group.conj
+    rows = np.empty(group.order, dtype=bool)
+    for block in row_blocks(group.order, idx.size * conj.itemsize,
+                            CHUNK_BYTES):
+        rows[block] = member[conj[block, idx]].all(axis=1)
+    return rows
+
+
 def is_normal_mask(group, mask: int) -> bool:
     """Does conjugation by every generator map the bitset into itself?"""
-    return group.normalizes(group.generator_indices(),
-                            bool_array_from_mask(mask, group.order))
+    return normalizes(group, group.generator_indices(),
+                      bool_array_from_mask(mask, group.order))
 
 
 def quotient_with_projection(group, normal_mask: int):

@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 from groupgraph import classify, graphs, realize
+from groupgraph.bits import bool_array_from_mask
 from groupgraph.cache import load_or_compute
 from groupgraph.classify import (_verify_cyclic_factors,
                                  derived_series_orders, is_abelian,
@@ -11,7 +12,7 @@ from groupgraph.classify import (_verify_cyclic_factors,
 from groupgraph.corpus import tier_allows
 from groupgraph.errors import GroupGraphError
 from oracles import (commutator_table_derived_mask, derived_subgroup_mask,
-                     is_iwasawa, is_solvable)
+                     is_iwasawa, is_solvable, normalizes)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -181,6 +182,31 @@ def test_cyclic_factor_check_rejects_a_non_normal_step(make):
     z2 = _ids_of_order(lat, 2)[0]
     with pytest.raises(GroupGraphError, match="not normal"):
         _verify_cyclic_factors(lat, [z2, lat.full_id])
+
+
+@pytest.mark.parametrize("text", ["symmetric(4)", "dihedral(6)",
+                                  "alternating(5)"])
+def test_cyclic_factor_check_tests_normality_as_the_member_wide_gather(
+        make, text):
+    """Every step below < above of the lattice is rejected as not normal
+    exactly when conjugation by above's hint does not map every member of
+    below into below."""
+    g, lat = make(text)
+    rejected = 0
+    for above, s in enumerate(lat.subgroups):
+        for below in range(above):
+            if lat.mask_of(below) & ~s.mask:
+                continue
+            member = bool_array_from_mask(lat.mask_of(below), g.order)
+            normal = normalizes(g, list(s.gen_hint), member)
+            try:
+                _verify_cyclic_factors(lat, [below, above])
+            except GroupGraphError as exc:
+                assert normal == ("not normal" not in str(exc))
+                rejected += not normal
+            else:
+                assert normal
+    assert rejected
 
 
 def test_cyclic_factor_check_rejects_a_step_outside_the_next(make):

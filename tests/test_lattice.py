@@ -20,11 +20,13 @@ from groupgraph.graphs import (build_graph, conjugation_vertex_map,
 from groupgraph.groups import FiniteGroup, is_abelian
 from groupgraph.lattice import SubgroupLattice, _conjugacy_class, _zuppos
 from groupgraph.perms import format_cycles, parse_cycles
+import oracles
 from oracles import (brute_force_subgroup_masks, closure_mask_by_cosets,
                      conjugacy_class_by_bits, conjugate_mask,
                      conjugate_mask_by_bits, conjugate_rows,
                      cyclic_extension_lattice,
                      inclusion_by_rows, is_subgroup_mask, normalizer,
+                     normalizer_row_by_members,
                      pair_loop_mismatches,
                      perm_order, quotient_group, subgroup_generated,
                      sylow_subgroups)
@@ -438,9 +440,9 @@ def closure_mismatches(group, rows) -> list[int]:
 
 # closures the unpruned cyclic extension runs: psl2(7) 580, symmetric(5)
 # 510, psl2(8) 1277, elem_abelian(2,5) 2077 (abelian: every join is a
-# product set now).
+# product set now); one per N(H)-orbit: 91, 99, 147 and 0.
 @pytest.mark.parametrize("text,closures", [
-    ("psl2(7)", 91), ("symmetric(5)", 99), ("psl2(8)", 147),
+    ("psl2(7)", 66), ("symmetric(5)", 61), ("psl2(8)", 107),
     ("elem_abelian(2,5)", 0),
 ])
 def test_closures_only_for_non_normalizing_orbit_representatives(
@@ -463,6 +465,13 @@ def test_closures_only_for_non_normalizing_orbit_representatives(
         normalizer = [g for g in range(group.order)
                       if conjugate_mask_by_bits(group, mask, g) == mask]
         assert zuppo_of[group.conj[normalizer, z]].min() == number
+        # and the least such candidate of its right coset H·z: no smaller
+        # one y has y·z^-1 in H
+        smaller = [y for y in range(number)
+                   if not inside[zgens[y]] and inside[zpowers[y]]
+                   and zuppo_of[group.conj[normalizer, zgens[y]]].min() == y]
+        assert not inside[group.mul[[zgens[y] for y in smaller],
+                                    group.inv[z]]].any()
 
 
 def test_closure_masks_match_the_per_join_loop_on_the_fast_tier(
@@ -480,7 +489,7 @@ def test_closure_masks_match_the_per_join_loop_on_the_fast_tier(
         closures += len(rows)
         checked += 1
     assert checked == len(fast_report.labels)
-    assert closures == 1094
+    assert closures == 917
 
 
 @pytest.mark.parametrize("text", ["psl2(8)", "symmetric(6)"])
@@ -550,16 +559,54 @@ def test_closure_mask_stops_at_the_full_group(make):
     assert group.closure_masks([], []) == []
 
 
-def test_normalizer_row_matches_the_per_element_loop(monkeypatch, make):
-    """N(H) for every subgroup, in one block of rows and in blocks of
-    five, against conjugating H by each element."""
+def test_normalizer_row_matches_the_per_element_loop(make):
+    """N(H) from H's hint for every subgroup, against conjugating H by
+    each element."""
     group, lat = make("symmetric(4)")
     members = bool_rows([s.mask for s in lat.subgroups], group.order)
     expected = [[conjugate_mask_by_bits(group, s.mask, g) == s.mask
                  for g in range(group.order)] for s in lat.subgroups]
-    assert [group.normalizer_row(m).tolist() for m in members] == expected
-    monkeypatch.setattr(groups, "CHUNK_BYTES", 5 * group.order)
-    assert [group.normalizer_row(m).tolist() for m in members] == expected
+    assert [group.normalizer_row(m, s.gen_hint).tolist()
+            for m, s in zip(members, lat.subgroups)] == expected
+
+
+def normalizer_mismatches(group, lat) -> list[int]:
+    """Ids of the subgroups whose normalizer from the hint differs from
+    the one from every member."""
+    mismatches = []
+    for sid, s in enumerate(lat.subgroups):
+        member = bool_array_from_mask(s.mask, group.order)
+        if not np.array_equal(group.normalizer_row(member, s.gen_hint),
+                              normalizer_row_by_members(group, member)):
+            mismatches.append(sid)
+    return mismatches
+
+
+def test_normalizer_row_matches_the_member_wide_gather_on_the_fast_tier(
+        monkeypatch, make, corpus, fast_report):
+    """Every subgroup of every fast-tier lattice; also with blocks of
+    five rows for the member-wide gather."""
+    checked = 0
+    for entry in corpus:
+        group = realize(entry.spec)
+        if tier_allows("fast", group.order):
+            assert normalizer_mismatches(group, all_subgroups(group)) == [], \
+                entry.label
+            checked += 1
+    assert checked == len(fast_report.labels)
+    group, lat = make("symmetric(4)")
+    monkeypatch.setattr(oracles, "CHUNK_BYTES", 5 * group.order)
+    assert normalizer_mismatches(group, lat) == []
+
+
+@pytest.mark.parametrize("text", [
+    "psl2(8)", "psl2(13)", "symmetric(6)",
+    pytest.param("alternating(7)", marks=pytest.mark.skipif(
+        not os.environ.get("GROUPGRAPH_LONG"),
+        reason="long tier: set GROUPGRAPH_LONG=1 to run it"))])
+def test_normalizer_row_matches_the_member_wide_gather(make, text):
+    group, lat = make(text)
+    assert normalizer_mismatches(group, lat) == []
 
 
 @pytest.mark.parametrize("text", [
@@ -571,8 +618,8 @@ def test_class_walk_matches_the_per_bit_orbit(monkeypatch, make, text):
     group, lat = make(text)
     gens = group.generator_indices()
     reps = [lat.subgroups[ids[0]] for ids in lat.conj_classes]
-    rows = [group.normalizer_row(bool_array_from_mask(s.mask, group.order))
-            for s in reps]
+    rows = [group.normalizer_row(bool_array_from_mask(s.mask, group.order),
+                                 s.gen_hint) for s in reps]
     expected = [conjugacy_class_by_bits(group, gens, s) for s in reps]
     assert [_conjugacy_class(group, gens, s, row)
             for s, row in zip(reps, rows)] == expected
@@ -637,9 +684,9 @@ def test_one_normalizer_per_class_and_no_empty_join_batches(monkeypatch,
     real_close = FiniteGroup.closure_masks
     real_products = lattice._product_sets
 
-    def row_spy(self, member):
+    def row_spy(self, member, generators):
         normalized.append(rows_from_bool(member[None])[0])
-        return real_row(self, member)
+        return real_row(self, member, generators)
 
     def close_spy(self, seeds, gens, subgroup=None):
         batches.append(len(seeds))
